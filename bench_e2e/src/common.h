@@ -36,6 +36,33 @@ inline double median(std::vector<double> values) {
   return quantile(std::move(values), 0.5);
 }
 
+/// A value and the time it was taken.
+struct Timed {
+  std::int64_t ns;
+  double value;
+};
+
+/// The median, over the whole seconds since the first sample, of each
+/// second's median.  A slow spell of the shared host that covers fewer than
+/// half of the seconds leaves it where the rest of the run puts it; the
+/// median of the pooled sample shifts with the share of slow seconds.
+inline double median_of_seconds(const std::vector<Timed>& samples) {
+  if (samples.empty()) return 0.0;
+  std::int64_t first = samples.front().ns;
+  for (const Timed& s : samples) first = std::min(first, s.ns);
+  std::vector<std::vector<double>> seconds;
+  for (const Timed& s : samples) {
+    auto second = static_cast<std::size_t>((s.ns - first) / 1'000'000'000);
+    if (seconds.size() <= second) seconds.resize(second + 1);
+    seconds[second].push_back(s.value);
+  }
+  std::vector<double> medians;
+  for (const std::vector<double>& values : seconds) {
+    if (!values.empty()) medians.push_back(median(values));
+  }
+  return median(std::move(medians));
+}
+
 /// Interquartile mean: the mean of the middle half of the sample.  Per-layer
 /// times use it because a workload that mixes two model variants gives a
 /// bimodal sample whose median jumps between the modes run to run.

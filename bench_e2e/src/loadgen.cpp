@@ -350,9 +350,10 @@ Phase LoadGen::open(double seconds, double rate_rps) {
   return merge(lanes);
 }
 
-Phase LoadGen::sequence(const std::vector<std::size_t>& templates) {
+Phase LoadGen::sequence(const std::vector<std::size_t>& templates,
+                        std::size_t conn) {
   std::vector<Lane> lanes = make_lanes(1);
-  closed_lane(*conns_[0], 0, lanes[0], &templates);
+  closed_lane(*conns_[conn % conns_.size()], 0, lanes[0], &templates);
   return merge(lanes);
 }
 

@@ -53,8 +53,8 @@ class LoadGen {
   /// `rate_rps` spread round-robin over the connections for `seconds`,
   /// then drains what is still in flight.
   Phase open(double seconds, double rate_rps);
-  /// The given pool entries one at a time on the first connection.
-  Phase sequence(const std::vector<std::size_t>& templates);
+  /// The given pool entries one at a time on connection `conn`.
+  Phase sequence(const std::vector<std::size_t>& templates, std::size_t conn);
 
   std::uint64_t last_rid() const { return next_rid_.load() - 1; }
 

@@ -5,15 +5,17 @@
 //                  --seconds S --trace 0|1
 //
 // One run: build the topology several times (setup_s is the median), warm
-// up, then a closed-loop phase (one request in flight per connection) and an
-// open-loop phase at the workload's fixed rate, S/2 seconds each.  Every
-// answer is checked against the in-process oracle.  --trace 0 reports the
-// end-to-end metrics; --trace 1 serves through benchmark-owned servers that
-// time each handler and reports the per-layer metrics instead.  Human-
-// readable lines go first; the last stdout line is the JSON result.
+// up, then a closed-loop phase (one request in flight per connection) in
+// one-second rounds with a burst of hot-swaps after each, and an open-loop
+// phase at the workload's fixed rate, S/2 seconds each.  Every answer is
+// checked against the in-process oracle.  --trace 0 reports the end-to-end
+// metrics; --trace 1 serves through benchmark-owned servers that time each
+// handler and reports the per-layer metrics instead.  Human-readable lines
+// go first; the last stdout line is the JSON result.
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -34,8 +36,8 @@ namespace {
 using common::Json;
 using common::JsonObject;
 
-constexpr int kSetupReps = 15;
-constexpr int kSwapPassRequests = 160;
+constexpr int kSetupReps = 41;
+constexpr std::size_t kSwapsPerRound = 10;
 constexpr double kWarmupSeconds = 1.0;
 
 struct Args {
@@ -70,73 +72,92 @@ double peak_rss_mb() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // kB -> MB
 }
 
-void print_phase(const char* name, const Phase& phase) {
+/// A phase's counts, which outlive its samples.
+struct Tally {
+  std::size_t sent = 0, ok = 0, wrong = 0, failed = 0;
+  double seconds = 0.0;
+  std::vector<std::string> wrong_answers;
+
+  void add(const Phase& phase) {
+    sent += phase.samples.size();
+    ok += phase.count(Outcome::kOk);
+    wrong += phase.count(Outcome::kWrong);
+    failed += phase.count(Outcome::kFailed);
+    seconds += phase.seconds;
+    wrong_answers.insert(wrong_answers.end(), phase.wrong.begin(),
+                         phase.wrong.end());
+  }
+};
+
+void print_phase(const char* name, const Tally& t) {
   std::printf("phase %-6s sent %zu  ok %zu  wrong %zu  failed %zu  in %.2f s\n",
-              name, phase.samples.size(), phase.count(Outcome::kOk),
-              phase.count(Outcome::kWrong), phase.count(Outcome::kFailed),
-              phase.seconds);
-  for (const std::string& wrong : phase.wrong) {
+              name, t.sent, t.ok, t.wrong, t.failed, t.seconds);
+  for (const std::string& wrong : t.wrong_answers) {
     std::printf("  wrong answer: %s\n", wrong.c_str());
   }
 }
 
-/// End-to-end metrics of one load run.  `p99_ms` receives the open-loop p99,
-/// which the traced run reports ungated: on a shared host it swings with
-/// host stalls from run to run (see README).
-std::vector<Metric> end_to_end(const WorkloadSpec& spec, const LoadRun& run,
+/// Appends one round's samples to a phase made of several rounds.
+void append(Phase& into, Phase part) {
+  into.samples.insert(into.samples.end(), part.samples.begin(),
+                      part.samples.end());
+  into.wrong.insert(into.wrong.end(), part.wrong.begin(), part.wrong.end());
+  into.seconds += part.seconds;
+}
+
+/// Correct closed-loop answers within the workload's latency limit.
+double good_answers(const WorkloadSpec& spec, const Phase& phase) {
+  double good = 0.0;
+  for (const Sample& s : phase.samples) {
+    if (s.outcome == Outcome::kOk && s.service_ms() <= spec.limit_ms) good += 1;
+  }
+  return good;
+}
+
+/// End-to-end metrics of one load run.  `round_goodput` holds each
+/// closed-loop round's goodput.  `p99_ms` receives the open-loop p99, which
+/// the traced run reports ungated: on a shared host it swings with host
+/// stalls from run to run (see README).
+std::vector<Metric> end_to_end(const LoadRun& run,
+                               const std::vector<double>& round_goodput,
                                const Counters& open_start, double setup_s,
                                double& p99_ms) {
-  // Closed loop: answers within the latency limit per whole second; the
-  // median second is the goodput, so one stall moves one second, not the
-  // run's figure.
-  std::int64_t closed_start = INT64_MAX;
-  for (const Sample& s : run.closed.samples) {
-    closed_start = std::min(closed_start, s.sched_ns);
-  }
-  double good = 0.0;
-  std::vector<double> per_second;
-  for (const Sample& s : run.closed.samples) {
-    if (s.outcome != Outcome::kOk || s.service_ms() > spec.limit_ms) continue;
-    good += 1;
-    auto second =
-        static_cast<std::size_t>((s.recv_ns - closed_start) / 1'000'000'000);
-    if (per_second.size() <= second) per_second.resize(second + 1, 0.0);
-    per_second[second] += 1;
-  }
-  if (per_second.size() > 1) per_second.pop_back();  // the partial last second
-
-  // Open loop: inference latency from the scheduled send.
-  std::vector<double> latency, lateness, swap_ms;
+  // Open loop: inference latency from the scheduled send, per second of the
+  // schedule.  Swaps: the bursts between closed-loop rounds; swaps that ride
+  // in the request mix (model_churn) are printed but wait behind the load.
+  std::vector<double> latency, lateness, swap_ms, in_load_swap_ms;
+  std::vector<Timed> latency_by_time;
   for (const Sample& s : run.open.samples) {
     lateness.push_back(s.lateness_ms());
-    if (!s.swap) latency.push_back(s.latency_ms());
-  }
-  for (const Phase* phase : {&run.closed, &run.open, &run.swaps}) {
-    for (const Sample& s : phase->samples) {
-      if (s.swap) swap_ms.push_back(s.service_ms());
+    if (s.swap) {
+      in_load_swap_ms.push_back(s.service_ms());
+      continue;
     }
+    latency.push_back(s.latency_ms());
+    latency_by_time.push_back({s.sched_ns, s.latency_ms()});
   }
+  for (const Sample& s : run.swaps.samples) swap_ms.push_back(s.service_ms());
   p99_ms = quantile(latency, 0.99);
-  std::printf("closed-loop goodput per second: min %.0f median %.0f max %.0f; "
-              "whole phase %.0f\n",
-              quantile(per_second, 0.0), median(per_second),
-              quantile(per_second, 1.0), good / run.closed.seconds);
   std::printf("open-loop latency samples %zu: p50 %.3f p90 %.3f p99 %.3f max "
-              "%.3f ms\n",
+              "%.3f ms; median of per-second p50s %.3f ms\n",
               latency.size(), quantile(latency, 0.5), quantile(latency, 0.9),
-              p99_ms, quantile(latency, 1.0));
-  std::printf("swap samples %zu: min %.3f max %.3f ms; generator lateness p99 "
-              "%.3f max %.3f ms\n",
-              swap_ms.size(), quantile(swap_ms, 0.0), quantile(swap_ms, 1.0),
+              p99_ms, quantile(latency, 1.0), median_of_seconds(latency_by_time));
+  std::printf("swap bursts %zu: min %.3f p25 %.3f p50 %.3f p75 %.3f max %.3f "
+              "ms; open-loop swaps %zu: p50 %.3f p99 %.3f ms\n",
+              swap_ms.size(), quantile(swap_ms, 0.0), quantile(swap_ms, 0.25),
+              quantile(swap_ms, 0.5), quantile(swap_ms, 0.75),
+              quantile(swap_ms, 1.0), in_load_swap_ms.size(),
+              quantile(in_load_swap_ms, 0.5), quantile(in_load_swap_ms, 0.99));
+  std::printf("generator lateness p99 %.3f max %.3f ms\n",
               quantile(lateness, 0.99), quantile(lateness, 1.0));
 
   double completed = static_cast<double>(run.open.count(Outcome::kOk));
   // Energy is charged over the open-loop window only.
   double energy_mj = (run.after.energy_j - open_start.energy_j) * 1e3;
   return {
-      {"goodput_rps", median(per_second), "1/s"},
-      {"latency_p50_ms", quantile(latency, 0.50), "ms"},
-      {"swap_p50_ms", median(swap_ms), "ms"},
+      {"goodput_rps", median(round_goodput), "1/s"},
+      {"latency_p50_ms", median_of_seconds(latency_by_time), "ms"},
+      {"swap_iqm_ms", iqm(swap_ms), "ms"},
       {"energy_mj_per_req", completed > 0 ? energy_mj / completed : 0.0, "mJ"},
       {"peak_rss_mb", peak_rss_mb(), "MB"},
       {"setup_s", setup_s, "s"},
@@ -172,38 +193,66 @@ int run(const Args& args) {
   LoadGen load(spec, topo->port, args.seed, lanes);
   load.closed(kWarmupSeconds);
   LoadRun run;
+  // Reserved, not grown: untouched capacity is never resident, and growth by
+  // doubling would make peak_rss_mb jump with the request count.
+  run.closed.samples.reserve(args.trace ? std::size_t{1} << 23 : 0);
   run.before = snapshot(*topo);
-  run.closed = load.closed(args.seconds / 2);
+  // The closed loop runs in one-second rounds; goodput is the median round.
+  // A short burst of hot-swaps, one at a time, follows each round, each burst
+  // on the next connection and so on the next server loop thread: the swap
+  // figure samples the whole run, not one spell of the shared host on one
+  // thread.  Untraced runs keep only the rounds' counts: at 40 bytes a
+  // sample, keeping them all would tie peak_rss_mb to how many requests the
+  // host let the run complete.
+  auto rounds =
+      static_cast<std::size_t>(std::max(1.0, std::round(args.seconds / 2)));
+  std::vector<double> round_goodput;
+  double closed_good = 0.0;
+  Tally closed;
+  for (std::size_t r = 0; r < rounds; ++r) {
+    Phase round = load.closed(args.seconds / 2 / static_cast<double>(rounds));
+    double good = good_answers(spec, round);
+    closed_good += good;
+    round_goodput.push_back(round.seconds > 0.0 ? good / round.seconds : 0.0);
+    closed.add(round);
+    if (args.trace) append(run.closed, std::move(round));
+    std::vector<std::size_t> burst;
+    for (std::size_t i = 0; i < kSwapsPerRound; ++i) {
+      burst.push_back(spec.swaps[(r * kSwapsPerRound + i) % spec.swaps.size()]);
+    }
+    append(run.swaps, load.sequence(burst, r % lanes));
+  }
   Counters open_start = snapshot(*topo);
   run.open = load.open(args.seconds / 2, spec.rate_rps);
   run.after = snapshot(*topo);
-  if (!spec.swaps_in_load) {
-    std::vector<std::size_t> swaps;
-    for (int i = 0; i < kSwapPassRequests; ++i) {
-      swaps.push_back(spec.swaps[i % spec.swaps.size()]);
-    }
-    run.swaps = load.sequence(swaps);
-  }
 
   std::printf("workload %s  seed %llu  trace %d  lanes %zu  rate %.0f/s  "
               "limit %.1f ms\n",
               spec.name.c_str(), static_cast<unsigned long long>(args.seed),
               args.trace ? 1 : 0, lanes, spec.rate_rps, spec.limit_ms);
-  print_phase("closed", run.closed);
-  print_phase("open", run.open);
-  print_phase("swaps", run.swaps);
+  Tally open, swaps;
+  open.add(run.open);
+  swaps.add(run.swaps);
+  print_phase("closed", closed);
+  print_phase("open", open);
+  print_phase("swaps", swaps);
+  std::printf("closed-loop goodput per round (%zu rounds): min %.0f median "
+              "%.0f max %.0f; whole phase %.0f\n",
+              round_goodput.size(), quantile(round_goodput, 0.0),
+              median(round_goodput), quantile(round_goodput, 1.0),
+              closed.seconds > 0.0 ? closed_good / closed.seconds : 0.0);
 
   double p99_ms = 0.0;
   std::vector<Metric> metrics =
-      end_to_end(spec, run, open_start, median(setups), p99_ms);
+      end_to_end(run, round_goodput, open_start, median(setups), p99_ms);
 
   std::size_t attempted = 0;
   std::size_t failed = 0;
   std::size_t wrong = 0;
-  for (const Phase* phase : {&run.closed, &run.open, &run.swaps}) {
-    attempted += phase->samples.size();
-    failed += phase->count(Outcome::kFailed);
-    wrong += phase->count(Outcome::kWrong);
+  for (const Tally* t : {&closed, &open, &swaps}) {
+    attempted += t->sent;
+    failed += t->failed;
+    wrong += t->wrong;
   }
   std::printf("error_rate %.6f (%zu failed, %zu wrong of %zu)\n",
               attempted > 0 ? static_cast<double>(failed + wrong) / attempted : 1.0,

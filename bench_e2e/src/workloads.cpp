@@ -277,7 +277,6 @@ WorkloadSpec make_churn(std::uint64_t seed) {
   spec.rate_rps = 1500.0;
   spec.limit_ms = 25.0;
   spec.devices = {hwsim::edge_server()};
-  spec.swaps_in_load = true;
   const std::size_t kKeys = 6;
   const std::size_t kInputs = 64;
   const std::size_t kFeatures = 16;
@@ -341,8 +340,12 @@ WorkloadSpec make_churn(std::uint64_t seed) {
   }
   std::size_t reads = spec.pool.size();
   for (const Deployment& d : spec.deployments) {
-    spec.swaps.push_back(spec.pool.size());
     spec.pool.push_back(swap_template(spec, d));
+  }
+  // The bursts between rounds re-POST each key's widest variant: the largest
+  // model bodies, and one body size, so their latencies are not a mix of four.
+  for (std::size_t k = 0; k < kKeys; ++k) {
+    spec.swaps.push_back(reads + k * widths.size() + widths.size() - 1);
   }
   // Zipf(1) key popularity: key k has weight 1/(k+1).
   std::vector<double> cumulative;

@@ -65,10 +65,9 @@ struct WorkloadSpec {
   std::vector<Template> pool;
   /// Draws the next pool index for one connection's request stream.
   std::function<std::size_t(common::Rng&)> pick;
-  /// Pool indices of hot-swap writes.  When `swaps_in_load` is false they
-  /// run as a sequential pass after the load instead of inside it.
+  /// Pool indices of the hot-swap writes sent in bursts between closed-loop
+  /// rounds (`pick` may also draw swaps into the request mix).
   std::vector<std::size_t> swaps;
-  bool swaps_in_load = false;
 };
 
 /// Builds a workload's models, request pool and oracle from `seed`.  Throws
