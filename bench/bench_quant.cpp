@@ -121,13 +121,11 @@ double top1_agreement(nn::Model& a, nn::Model& b, const Tensor& probes) {
                     : static_cast<double>(same) / static_cast<double>(pa.size());
 }
 
-Json stats_to_json(const LatencyStats& stats, std::size_t weight_bytes,
-                   bool arena) {
+Json stats_to_json(const LatencyStats& stats, std::size_t weight_bytes) {
   return Json(JsonObject{{"p50_ms", Json(stats.p50_ms)},
                          {"p95_ms", Json(stats.p95_ms)},
                          {"ops_per_sec", Json(stats.ops_per_sec)},
-                         {"weight_bytes", Json(weight_bytes)},
-                         {"arena", Json(arena)}});
+                         {"weight_bytes", Json(weight_bytes)}});
 }
 
 struct WorkloadResult {
@@ -165,18 +163,16 @@ WorkloadResult run_workload(const std::string& name, nn::Model model,
   double p50_speedup =
       int8_stats.p50_ms > 0.0 ? float_stats.p50_ms / int8_stats.p50_ms : 0.0;
 
-  std::printf("%8s %10s %10s %14s %12s %7s\n", "engine", "p50", "p95",
-              "ops/sec", "weights", "arena");
-  std::printf("%8s %10s %10s %14.1f %12s %7s\n", "float",
+  std::printf("%8s %10s %10s %14s %12s\n", "engine", "p50", "p95",
+              "ops/sec", "weights");
+  std::printf("%8s %10s %10s %14.1f %12s\n", "float",
               format_seconds(float_stats.p50_ms * 1e-3).c_str(),
               format_seconds(float_stats.p95_ms * 1e-3).c_str(),
-              float_stats.ops_per_sec, format_bytes(float_bytes).c_str(),
-              float_session.arena_active() ? "yes" : "no");
-  std::printf("%8s %10s %10s %14.1f %12s %7s\n", "int8",
+              float_stats.ops_per_sec, format_bytes(float_bytes).c_str());
+  std::printf("%8s %10s %10s %14.1f %12s\n", "int8",
               format_seconds(int8_stats.p50_ms * 1e-3).c_str(),
               format_seconds(int8_stats.p95_ms * 1e-3).c_str(),
-              int8_stats.ops_per_sec, format_bytes(int8_bytes).c_str(),
-              int8_session.arena_active() ? "yes" : "no");
+              int8_stats.ops_per_sec, format_bytes(int8_bytes).c_str());
   std::printf("p50 speedup %.2fx   weight ratio %.2fx   top-1 agreement "
               "%.1f%% (%zu probes)\n",
               p50_speedup, weight_ratio, agreement * 100.0,
@@ -189,10 +185,8 @@ WorkloadResult run_workload(const std::string& name, nn::Model model,
   result.json = Json(JsonObject{
       {"name", Json(name)},
       {"reps", Json(reps)},
-      {"float", stats_to_json(float_stats, float_bytes,
-                              float_session.arena_active())},
-      {"int8", stats_to_json(int8_stats, int8_bytes,
-                             int8_session.arena_active())},
+      {"float", stats_to_json(float_stats, float_bytes)},
+      {"int8", stats_to_json(int8_stats, int8_bytes)},
       {"p50_speedup", Json(p50_speedup)},
       {"weight_ratio", Json(weight_ratio)},
       {"top1_agreement", Json(agreement)},

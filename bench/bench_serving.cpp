@@ -1,13 +1,11 @@
-// HTTP serving bench: event-loop engine vs the legacy thread-per-connection
-// baseline under thousands of concurrent keep-alive connections.
+// HTTP serving bench: the event-loop server under thousands of concurrent
+// keep-alive connections.
 //
 // The load generator is itself a non-blocking event loop (net::Poller): one
 // driver thread multiplexes all of its client connections, so the harness
-// can hold 1k+ sockets open without 1k client threads.  Three phases run
+// can hold 1k+ sockets open without 1k client threads.  Two phases run
 // against a fully wired EdgeNode (deployed model, ingested sensor data):
 //
-//   thread_per_conn   legacy engine; one request per connection, so every
-//                     request pays connect+teardown (its real-world cost)
 //   event_loop        keep-alive reuse, one request in flight per conn
 //   event_loop_pipe   keep-alive + pipelining (depth 8 per connection)
 //
@@ -78,7 +76,6 @@ void raise_fd_limit() {
 struct LoadOptions {
   std::size_t connections = 256;
   std::size_t pipeline = 1;       // requests in flight per connection
-  bool keep_alive = true;         // false: reconnect after every response
   double duration_s = 2.0;
   double open_loop_rate = 0.0;    // aggregate req/s target; 0 = closed loop
   std::size_t driver_threads = 2;
@@ -282,14 +279,14 @@ class LoadDriver {
             break;
           }
           if (n < 0) break;
-          if (n == 0) {  // server closed (expected for keep_alive=false)
+          if (n == 0) {  // server closed
             dead = true;
             break;
           }
           conn.in.append(chunk, static_cast<std::size_t>(n));
           std::size_t completed = consume_responses(conn, lat_ms, now_s);
           result.completed += completed;
-          if (completed > 0 && options_.keep_alive) {
+          if (completed > 0) {
             for (std::size_t i = 0; i < completed; ++i) {
               if (per_conn_interval > 0.0) {
                 conn.next_send_s += per_conn_interval;
@@ -304,11 +301,10 @@ class LoadDriver {
           }
         }
         if (dead) {
-          bool mid_response = !conn.send_times.empty() && options_.keep_alive;
-          if (mid_response) ++result.errors;
+          if (!conn.send_times.empty()) ++result.errors;  // mid-response
           poller.remove(event.fd);
           conns.erase(event.fd);
-          // Reconnect-per-request baseline (or replacing a dropped conn).
+          // Replace the dropped connection.
           if (clock.elapsed_seconds() < options_.duration_s) {
             try {
               arm(open_conn(clock.elapsed_seconds()));
@@ -360,13 +356,9 @@ void seed_node(core::EdgeNode& node) {
   }
 }
 
-std::string wire_request(bool keep_alive) {
-  std::string out = "GET /ei_data/realtime/cam1?timestamp=15 HTTP/1.1\r\n"
-                    "Host: 127.0.0.1\r\n";
-  out += keep_alive ? "Connection: keep-alive\r\n\r\n"
-                    : "Connection: close\r\n\r\n";
-  return out;
-}
+const char* const kWireRequest =
+    "GET /ei_data/realtime/cam1?timestamp=15 HTTP/1.1\r\n"
+    "Host: 127.0.0.1\r\nConnection: keep-alive\r\n\r\n";
 
 Json result_to_json(const LoadResult& result) {
   return Json(JsonObject{{"completed", Json(result.completed)},
@@ -380,7 +372,6 @@ Json result_to_json(const LoadResult& result) {
 
 Json stats_to_json(const net::ServerStats& stats) {
   return Json(JsonObject{
-      {"engine", Json(stats.engine)},
       {"connections_accepted", Json(stats.connections_accepted)},
       {"requests_served", Json(stats.requests_served)},
       {"keepalive_reuses", Json(stats.keepalive_reuses)},
@@ -397,7 +388,7 @@ void print_row(const char* name, const LoadResult& result) {
 
 int run(const Config& config) {
   raise_fd_limit();
-  banner("OpenEI serving: event loop vs thread-per-connection");
+  banner("OpenEI serving: event loop, keep-alive and pipelined");
   std::size_t host_cpus = std::thread::hardware_concurrency();
   std::size_t connections = config.quick
                                 ? std::min<std::size_t>(config.connections, 64)
@@ -423,68 +414,31 @@ int run(const Config& config) {
   std::printf("\n%18s %10s %9s %9s %9s %7s\n", "phase", "req/s", "p50", "p99",
               "p999", "errors");
 
-  // --- Phase 1: legacy thread-per-connection baseline -------------------
-  LoadResult baseline;
-  {
-    core::EdgeNode node(make_node_config());
-    seed_node(node);
-    net::HttpServer::Options options;
-    options.thread_per_connection = true;
-    std::uint16_t port = node.start_server(0, options);
-    LoadOptions load;
-    load.connections = connections;
-    load.pipeline = 1;
-    load.keep_alive = false;  // the legacy engine closes after one response
-    load.duration_s = duration_s;
-    load.driver_threads = drivers;
-    baseline = LoadDriver(port, wire_request(false), load).run();
-    print_row("thread_per_conn", baseline);
-    node.stop_server();
-  }
+  core::EdgeNode node(make_node_config());
+  seed_node(node);
+  std::uint16_t port = node.start_server(0, net::HttpServer::Options{});
+  LoadOptions load;
+  load.connections = connections;
+  load.pipeline = 1;
+  load.duration_s = duration_s;
+  load.open_loop_rate = config.open_loop_rate;
+  load.driver_threads = drivers;
+  LoadResult keepalive = LoadDriver(port, kWireRequest, load).run();
+  print_row("event_loop", keepalive);
 
-  // --- Phases 2+3: event loop, keep-alive then pipelined ----------------
-  LoadResult keepalive;
-  LoadResult pipelined;
-  Json server_stats;
-  {
-    core::EdgeNode node(make_node_config());
-    seed_node(node);
-    std::uint16_t port = node.start_server(0, net::HttpServer::Options{});
-    LoadOptions load;
-    load.connections = connections;
-    load.pipeline = 1;
-    load.keep_alive = true;
-    load.duration_s = duration_s;
-    load.open_loop_rate = config.open_loop_rate;
-    load.driver_threads = drivers;
-    keepalive = LoadDriver(port, wire_request(true), load).run();
-    print_row("event_loop", keepalive);
+  load.pipeline = 8;
+  load.open_loop_rate = 0.0;
+  LoadResult pipelined = LoadDriver(port, kWireRequest, load).run();
+  print_row("event_loop_pipe", pipelined);
+  Json server_stats = stats_to_json(node.server_stats());
+  node.stop_server();
 
-    load.pipeline = 8;
-    load.open_loop_rate = 0.0;
-    pipelined = LoadDriver(port, wire_request(true), load).run();
-    print_row("event_loop_pipe", pipelined);
-    server_stats = stats_to_json(node.server_stats());
-    node.stop_server();
-  }
-
-  double speedup = baseline.requests_per_sec > 0.0
-                       ? keepalive.requests_per_sec / baseline.requests_per_sec
-                       : 0.0;
-  // On a 1-core CI runner both engines serialize behind the same CPU, so
-  // the ≥5x claim is only asserted where parallelism exists.
-  bool speedup_valid = host_cpus >= 4 && !config.quick;
-  section("summary");
-  std::printf("keep-alive vs thread-per-conn: %.1fx req/s%s\n", speedup,
-              speedup_valid ? "" : "  (informational: quick run or <4 cores)");
-
-  report.set("thread_per_connection", result_to_json(baseline));
   report.set("event_loop_keepalive", result_to_json(keepalive));
   report.set("event_loop_pipelined", result_to_json(pipelined));
   report.set("server_stats", std::move(server_stats));
-  report.set("keepalive_speedup", speedup);
   report.set("min_keepalive_rps", config.min_keepalive_rps);
-  set_host_info(report, speedup_valid);
+  // Absolute rates only: the report carries no speedup to validate.
+  set_host_info(report, false);
 
   std::ofstream out(config.out_path);
   if (!out) {
@@ -500,13 +454,6 @@ int run(const Config& config) {
                  "FAIL: keep-alive phase served %.0f req/s, below the %.0f "
                  "req/s floor\n",
                  keepalive.requests_per_sec, config.min_keepalive_rps);
-    return 1;
-  }
-  if (speedup_valid && speedup < 5.0) {
-    std::fprintf(stderr,
-                 "FAIL: keep-alive speedup %.1fx below the 5x acceptance "
-                 "threshold (multi-core, full run)\n",
-                 speedup);
     return 1;
   }
   return 0;

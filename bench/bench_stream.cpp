@@ -22,6 +22,12 @@
 // and --max-miss-rate turn the reference device's latest-wins cell into
 // regression gates.
 //
+// A second phase measures sharing: N unpaced sessions on one mini-VGG,
+// alone and beside closed-loop /ei_algorithms clients on the same model.
+// Every stream worker and the micro-batcher's flush thread predict through
+// the one cached InferenceSession, so the phase prints what they pay for
+// its arena lock (the "shared_model" JSON array; no gate).
+//
 // Usage: bench_stream [--quick] [--out PATH] [--duration-s S]
 //                     [--min-fps F] [--max-miss-rate R]
 //   --quick          short cells + the 3-device fleet subset (CI smoke)
@@ -31,10 +37,12 @@
 //   --max-miss-rate R fail when the reference latest-wins cell's deadline
 //                    miss rate exceeds R in [0,1] (default 1 = no gate)
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,6 +55,7 @@
 #include "hwsim/cost_model.h"
 #include "hwsim/device.h"
 #include "hwsim/package.h"
+#include "net/http.h"
 #include "nn/zoo.h"
 #include "stream/frame_queue.h"
 #include "stream/stream_session.h"
@@ -193,6 +202,115 @@ Json cell_to_json(const CellResult& cell) {
                        {"rejected_closed", Json(c.rejected_closed)}})}});
 }
 
+struct SharedResult {
+  std::size_t streams = 0;
+  std::size_t http_clients = 0;
+  double stream_fps = 0.0;
+  double http_rps = 0.0;
+  double http_p50_ms = 0.0;
+  std::uint64_t http_errors = 0;
+};
+
+/// `streams` unpaced block-policy sessions on one mini-VGG, each fed by its
+/// own producer, plus `http_clients` closed-loop clients posting one image
+/// to /ei_algorithms; throughput over `duration_s` after a short warm-up.
+SharedResult run_shared_cell(std::size_t streams, std::size_t http_clients,
+                             double duration_s) {
+  core::EdgeNode node(core::EdgeNodeConfig{hwsim::edge_fpga(),
+                                           hwsim::openei_package(), 16});
+  common::Rng rng(11);
+  nn::Model vgg = nn::zoo::make_mini_vgg(nn::zoo::ImageSpec{}, rng);
+  vgg.set_name("vgg");
+  nn::Tensor frame(vgg.input_shape());
+  node.deploy_model("vision", "classify", std::move(vgg), 0.9);
+  std::string body = "[[";
+  for (std::size_t i = 0; i < frame.elements(); ++i) {
+    frame.data()[i] = static_cast<float>(i % 7) * 0.1F;
+    if (i > 0) body += ',';
+    body += std::to_string(frame.data()[i]);
+  }
+  body += "]]";
+
+  stream::StreamSession::Options options;
+  options.queue.capacity = kQueueCapacity;
+  options.queue.policy = stream::AdmitPolicy::kBlock;
+  std::vector<std::unique_ptr<stream::StreamSession>> sessions;
+  for (std::size_t i = 0; i < streams; ++i) {
+    sessions.push_back(std::make_unique<stream::StreamSession>(
+        std::to_string(i), "vision", "classify", "vgg",
+        node.service().lifecycle(), options));
+  }
+  std::uint16_t port = http_clients > 0 ? node.start_server(0) : 0;
+
+  std::atomic<bool> stop{false};
+  std::atomic<bool> measuring{false};
+  std::vector<std::vector<double>> latencies_s(http_clients);
+  std::vector<std::uint64_t> errors(http_clients, 0);
+  std::vector<std::thread> threads;
+  for (auto& session : sessions) {
+    threads.emplace_back([&, s = session.get()] {
+      while (!stop.load()) {
+        s->submit(frame, -1.0);
+        s->poll();
+      }
+    });
+  }
+  for (std::size_t c = 0; c < http_clients; ++c) {
+    threads.emplace_back([&, c] {
+      net::HttpClient client(port);
+      while (!stop.load()) {
+        common::Stopwatch request;
+        bool ok = false;
+        try {
+          ok = client.post("/ei_algorithms/vision/classify", body).status ==
+               200;
+        } catch (const std::exception&) {
+        }
+        if (!measuring.load()) continue;
+        if (ok) {
+          latencies_s[c].push_back(request.elapsed_seconds());
+        } else {
+          ++errors[c];
+        }
+      }
+    });
+  }
+
+  auto delivered = [&] {
+    std::uint64_t total = 0;
+    for (auto& session : sessions) total += session->stats().queue.delivered;
+    return total;
+  };
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  std::uint64_t delivered_before = delivered();
+  measuring.store(true);
+  common::Stopwatch wall;
+  std::this_thread::sleep_for(std::chrono::duration<double>(duration_s));
+  measuring.store(false);
+  double wall_s = wall.elapsed_seconds();
+  std::uint64_t delivered_after = delivered();
+  stop.store(true);
+  for (std::thread& thread : threads) thread.join();
+  for (auto& session : sessions) session->close();
+
+  SharedResult result;
+  result.streams = streams;
+  result.http_clients = http_clients;
+  result.stream_fps =
+      static_cast<double>(delivered_after - delivered_before) / wall_s;
+  std::vector<double> all;
+  for (std::size_t c = 0; c < http_clients; ++c) {
+    all.insert(all.end(), latencies_s[c].begin(), latencies_s[c].end());
+    result.http_errors += errors[c];
+  }
+  result.http_rps = static_cast<double>(all.size()) / wall_s;
+  if (!all.empty()) {
+    std::nth_element(all.begin(), all.begin() + all.size() / 2, all.end());
+    result.http_p50_ms = all[all.size() / 2] * 1e3;
+  }
+  return result;
+}
+
 int run(const Config& config) {
   banner("OpenEI streaming: policy vs deadline-miss rate across the fleet");
   double duration_s = config.quick ? std::min(config.duration_s, 1.5)
@@ -260,6 +378,27 @@ int run(const Config& config) {
   std::printf("  latest_wins : %.1f fps delivered, %.1f%% deadline misses\n",
               gate_cell.delivered_fps, gate_cell.miss_rate * 100.0);
 
+  section("shared model: N unpaced sessions on one mini-VGG");
+  std::printf("%8s %6s %12s %10s %10s %7s\n", "streams", "http", "stream fps",
+              "http rps", "http p50", "errors");
+  Json shared{common::JsonArray{}};
+  double shared_s = config.quick ? 0.5 : duration_s / 2.0;
+  for (std::size_t http_clients : {std::size_t{0}, std::size_t{2}}) {
+    for (std::size_t streams : {1, 2, 4}) {
+      SharedResult r = run_shared_cell(streams, http_clients, shared_s);
+      std::printf("%8zu %6zu %12.1f %10.1f %8.2fms %7llu\n", r.streams,
+                  r.http_clients, r.stream_fps, r.http_rps, r.http_p50_ms,
+                  static_cast<unsigned long long>(r.http_errors));
+      shared.as_array().push_back(Json(JsonObject{
+          {"streams", Json(r.streams)},
+          {"http_clients", Json(r.http_clients)},
+          {"stream_fps", Json(r.stream_fps)},
+          {"http_rps", Json(r.http_rps)},
+          {"http_p50_ms", Json(r.http_p50_ms)},
+          {"http_errors", Json(r.http_errors)}}));
+    }
+  }
+
   Json report{JsonObject{}};
   report.set("bench", "stream");
   report.set("quick", config.quick);
@@ -270,6 +409,7 @@ int run(const Config& config) {
   report.set("deadline_s", deadline_s);
   report.set("reference_device", reference.name);
   report.set("cells", std::move(cells));
+  report.set("shared_model", std::move(shared));
   report.set("min_fps_gate", config.min_fps);
   report.set("max_miss_rate_gate", config.max_miss_rate);
   // Producer and consumer must overlap for throughput numbers to mean

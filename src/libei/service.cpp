@@ -299,7 +299,6 @@ HttpResponse EiService::handle_status() {
   if (serving_source) {
     net::ServerStats stats = serving_source();
     Json serving{JsonObject{}};
-    serving.set("engine", stats.engine);
     serving.set("connections_accepted", stats.connections_accepted);
     serving.set("connections_rejected", stats.connections_rejected);
     serving.set("requests_served", stats.requests_served);
@@ -360,7 +359,6 @@ HttpResponse EiService::handle_status() {
     Json row{JsonObject{}};
     row.set("model", info.name);
     row.set("bytes", info.bytes);
-    row.set("arena", info.arena_active);
     residents.push_back(std::move(row));
   }
   lifecycle.set("resident", Json(std::move(residents)));
@@ -732,10 +730,6 @@ HttpResponse EiService::handle_algorithm(const HttpRequest& request,
       infer_span.set_attribute(
           "peak_tensor_bytes",
           static_cast<double>(allocation.peak_live_bytes));
-      // Zero peak_tensor_bytes means the zero-alloc arena served the forward;
-      // the flag lets trace consumers tell that apart from a broken tracker.
-      infer_span.set_attribute("arena",
-                               lease.session->arena_active() ? 1.0 : 0.0);
     }
   }
   infer_span.finish();

@@ -1,5 +1,5 @@
-// Request/target parsing and the blocking HttpClient.  The server engines
-// live in http_server.cpp.
+// Request/target parsing and the blocking HttpClient.  The server lives in
+// http_server.cpp.
 #include "net/http.h"
 
 #include <sstream>

@@ -51,7 +51,6 @@ void parse_target(const std::string& target, std::string& path,
 /// surfaced as the "serving" block of GET /ei_status when a node wires the
 /// server into its libei service).
 struct ServerStats {
-  std::string engine;  // "event_loop" or "thread_per_connection"
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_rejected = 0;  // over the concurrent-connection cap
   std::uint64_t requests_served = 0;       // responses fully queued/written
@@ -63,23 +62,13 @@ struct ServerStats {
   std::uint64_t peak_connections = 0;      // high-water mark of the gauge
 };
 
-/// HTTP server with two interchangeable engines behind one contract
-/// (routing, FaultPlan injection, deadlines, 400-on-malformed, graceful
-/// drain on stop()):
-///
-///   - event loop (default): a small fixed pool of non-blocking event-loop
-///     threads multiplexes every connection (epoll on Linux, poll
-///     elsewhere).  Keep-alive reuse, pipelined parsing out of
-///     per-connection buffers, responses serialized straight into
-///     per-connection output buffers with EAGAIN backpressure, idle-timeout
-///     reaping, and a hard cap on concurrent connections.
-///
-///   - thread-per-connection (legacy): the original blocking
-///     accept-then-spawn model, kept as the measured baseline for
-///     bench_serving and for A/B experiments.  One short-lived worker per
-///     connection, one request per connection, bounded by
-///     max_connection_threads (accepting pauses at the cap so an accept
-///     flood queues in the listen backlog instead of exhausting memory).
+/// HTTP server on an event loop: a small fixed pool of non-blocking
+/// event-loop threads multiplexes every connection (epoll on Linux, poll
+/// elsewhere).  Keep-alive reuse, pipelined parsing out of per-connection
+/// buffers, responses serialized straight into per-connection output
+/// buffers with EAGAIN backpressure, idle-timeout reaping, a hard cap on
+/// concurrent connections, FaultPlan injection, 400-on-malformed, and a
+/// graceful drain on stop().
 class HttpServer {
  public:
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
@@ -91,19 +80,12 @@ class HttpServer {
     double read_timeout_s = 10.0;
     /// Keep-alive idle deadline: a connection with no request in flight and
     /// nothing left to write is closed after this (slow-loris reaping).
-    /// Only the event-loop engine keeps idle connections at all.
     double idle_timeout_s = 30.0;
     /// Event-loop pool size; 0 = auto (half the hardware threads, 1..4).
     std::size_t event_loop_threads = 0;
-    /// Concurrent-connection cap for the event-loop engine: connections
-    /// beyond it are answered 503 and closed at accept time.
+    /// Concurrent-connection cap: connections beyond it are answered 503
+    /// and closed at accept time.
     std::size_t max_connections = 4096;
-    /// Selects the legacy blocking engine (bench baseline / A-B runs).
-    bool thread_per_connection = false;
-    /// Worker-thread cap for the legacy engine: accepting pauses while this
-    /// many connection workers are live, so an accept flood is bounded by
-    /// the listen backlog, not by memory.
-    std::size_t max_connection_threads = 128;
     /// Optional deterministic fault schedule consulted once per request
     /// (after parsing, before the handler).  Shared so tests/benchmarks can
     /// inspect the plan's counters while the server runs.
@@ -123,14 +105,14 @@ class HttpServer {
 
   /// Stops accepting, drains in-flight requests (parsed requests finish and
   /// their responses flush; connections idle or mid-request are closed),
-  /// and joins every engine thread.  Idempotent.
+  /// and joins every server thread.  Idempotent.
   void stop();
 
   /// Snapshot of the serving counters (monotonic except open_connections).
   ServerStats stats() const;
 
-  /// Engine internals (event loop / legacy worker pool); out-of-line so the
-  /// header stays free of epoll/poll details.
+  /// Event-loop internals; out-of-line so the header stays free of
+  /// epoll/poll details.
   class Core;
 
  private:

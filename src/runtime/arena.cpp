@@ -144,6 +144,7 @@ std::optional<std::size_t> ForwardArena::plan_layer(nn::Layer& layer,
     std::size_t out_buf = new_fbuf(qd->out_features());
     bool fuse = next != nullptr && dynamic_cast<nn::Relu*>(next) != nullptr;
     if (fuse) *fused_next = true;
+    dynamic_ranges_ |= !qd->input_params().has_value();
     const nn::QuantizedDense* p = qd;
     steps_.push_back([p, in_buf, staging, out_buf, fuse](ForwardArena& a,
                                                          std::size_t rows) {
@@ -194,6 +195,7 @@ std::optional<std::size_t> ForwardArena::plan_layer(nn::Layer& layer,
     std::size_t out_buf = new_fbuf(spec.out_channels * oh * ow);
     bool fuse = next != nullptr && dynamic_cast<nn::Relu*>(next) != nullptr;
     if (fuse) *fused_next = true;
+    dynamic_ranges_ |= !qc->input_params().has_value();
     const nn::QuantizedConv2d* p = qc;
     steps_.push_back([p, in_buf, q_in, q_patch, gemm_buf, out_buf, in_h, in_w,
                       fuse](ForwardArena& a, std::size_t rows) {
@@ -496,7 +498,7 @@ std::optional<std::size_t> ForwardArena::plan_layer(nn::Layer& layer,
     return in_buf;  // identity at inference
   }
 
-  return std::nullopt;  // unsupported layer: caller falls back to Tensors
+  return std::nullopt;  // unsupported layer: the model cannot be served
 }
 
 void ForwardArena::reserve(std::size_t rows) {

@@ -9,8 +9,8 @@
 // the corresponding layer's per-element arithmetic exactly, so arena output
 // is bit-identical to Model::forward at any thread count.
 //
-// Planning returns nullptr for layer types the arena does not understand;
-// callers fall back to the Tensor path, which computes the same values.
+// The arena is the only inference executor: InferenceSession refuses a model
+// it cannot plan, and Model::forward serves training and tests.
 #pragma once
 
 #include <cstdint>
@@ -54,6 +54,10 @@ class ForwardArena {
 
   std::size_t input_elems() const { return input_elems_; }
   std::size_t classes() const { return output_per_row_; }
+  /// True when some int8 layer has no calibrated input params and so fits
+  /// its activation range to each pass: rows fused into one pass can then
+  /// change each other's answers.
+  bool dynamic_ranges() const { return dynamic_ranges_; }
 
  private:
   ForwardArena() = default;
@@ -100,6 +104,7 @@ class ForwardArena {
   std::size_t in_buf_ = 0;
   std::size_t out_buf_ = 0;
   std::size_t capacity_rows_ = 0;
+  bool dynamic_ranges_ = false;
 };
 
 }  // namespace openei::runtime

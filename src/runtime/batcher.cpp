@@ -164,10 +164,6 @@ void MicroBatcher::run_flush(std::deque<Pending> batch) {
     pending.span.set_attribute("forward_us", forward_us);
     pending.span.set_attribute(
         "peak_tensor_bytes", static_cast<double>(allocation.peak_live_bytes));
-    // Zero peak_tensor_bytes is the arena working as designed, not a broken
-    // tracker — the flag lets trace consumers tell the two apart.
-    pending.span.set_attribute("arena",
-                               session_->arena_active() ? 1.0 : 0.0);
     pending.span.finish();
   }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.h"
-#include "nn/dense.h"
 
 namespace openei::runtime {
 
@@ -18,38 +17,30 @@ InferenceSession::InferenceSession(nn::Model model, hwsim::PackageSpec package,
         "model '", model_.name(), "' needs ", per_sample_.memory_bytes,
         " bytes but device '", device_.name, "' has ", device_.ram_bytes));
   }
-  // Pre-plan the zero-alloc forward arena; single-sample buffers are grown
-  // here so a steady-state run(1-row batch) never touches the heap.
-  arena_ = ForwardArena::plan(model_);
-  if (arena_ != nullptr) {
-    arena_->reserve(1);
-    arena_mutex_ = std::make_unique<std::mutex>();
-  }
+  // Pre-plan the first zero-alloc forward arena; single-sample buffers are
+  // grown here so a steady-state run(1-row batch) never touches the heap.
+  slots_mutex_ = std::make_unique<std::mutex>();
+  std::unique_ptr<ArenaSlot> slot = plan_slot();
+  input_elems_ = slot->arena->input_elems();
+  dynamic_ranges_ = slot->arena->dynamic_ranges();
+  idle_slots_.push_back(std::move(slot));
 }
 
-InferenceResult InferenceSession::run_rows(const float* rows_data,
-                                           std::size_t rows) {
-  OPENEI_CHECK(rows > 0, "run_rows of zero rows");
+std::unique_ptr<InferenceSession::ArenaSlot> InferenceSession::plan_slot() {
+  auto slot = std::make_unique<ArenaSlot>();
+  slot->arena = ForwardArena::plan(model_);
+  if (slot->arena == nullptr) {
+    throw InvalidArgument(detail::concat(
+        "model '", model_.name(),
+        "' does not end in a flat logit vector; a session cannot predict it"));
+  }
+  slot->arena->reserve(1);
+  return slot;
+}
+
+InferenceResult InferenceSession::priced(std::size_t rows) const {
   InferenceResult result;
-  bool done = false;
-  if (arena_ != nullptr) {
-    std::unique_lock<std::mutex> lock(*arena_mutex_, std::try_to_lock);
-    if (lock.owns_lock()) {
-      result.predictions.resize(rows);
-      arena_->predict(rows_data, rows, result.predictions.data());
-      done = true;
-    }
-  }
-  if (!done) {
-    // Fallback (no arena, or another thread holds it): stage into a Tensor
-    // and run the layer path — bit-identical values, just not alloc-free.
-    std::vector<std::size_t> dims{rows};
-    for (std::size_t d : model_.input_shape().dims()) dims.push_back(d);
-    nn::Tensor batch{tensor::Shape(dims)};
-    auto out = batch.data();
-    std::copy(rows_data, rows_data + out.size(), out.begin());
-    result.predictions = model_.predict(batch);
-  }
+  result.predictions.resize(rows);
   result.per_sample = per_sample_;
   auto n = static_cast<double>(rows);
   result.batch_latency_s = per_sample_.latency_s * n;
@@ -57,97 +48,85 @@ InferenceResult InferenceSession::run_rows(const float* rows_data,
   return result;
 }
 
-InferenceResult InferenceSession::run(const nn::Tensor& batch) {
-  InferenceResult result;
-  std::size_t rows = batch.shape().dim(0);
-  bool done = false;
-  if (arena_ != nullptr && batch.elements() == rows * arena_->input_elems()) {
-    std::unique_lock<std::mutex> lock(*arena_mutex_, std::try_to_lock);
-    if (lock.owns_lock()) {
-      result.predictions.resize(rows);
-      arena_->predict(batch.data().data(), rows, result.predictions.data());
-      done = true;
+void InferenceSession::predict_rows(std::span<const Rows> requests,
+                                    std::span<InferenceResult> results) {
+  std::unique_ptr<ArenaSlot> slot;
+  {
+    std::lock_guard<std::mutex> lock(*slots_mutex_);
+    if (!idle_slots_.empty()) {
+      slot = std::move(idle_slots_.back());
+      idle_slots_.pop_back();
     }
   }
-  if (!done) result.predictions = model_.predict(batch);
-  result.per_sample = per_sample_;
-  auto n = static_cast<double>(batch.shape().dim(0));
-  result.batch_latency_s = per_sample_.latency_s * n;
-  result.batch_energy_j = per_sample_.energy_j * n;
+  if (slot == nullptr) slot = plan_slot();
+  ForwardArena& arena = *slot->arena;
+  if (requests.size() == 1 || dynamic_ranges_) {
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      arena.predict(requests[i].data, requests[i].count,
+                    results[i].predictions.data());
+    }
+  } else {
+    // Fuse: stage every request's rows into one grow-only buffer and run a
+    // single pass — no Tensor construction, so steady state stays alloc-free.
+    std::size_t total_rows = 0;
+    for (const Rows& request : requests) total_rows += request.count;
+    if (slot->fused_staging.size() < total_rows * input_elems_) {
+      slot->fused_staging.resize(total_rows * input_elems_);
+    }
+    if (slot->pred_staging.size() < total_rows) {
+      slot->pred_staging.resize(total_rows);
+    }
+    float* staged = slot->fused_staging.data();
+    for (const Rows& request : requests) {
+      staged = std::copy_n(request.data, request.count * input_elems_, staged);
+    }
+    arena.predict(slot->fused_staging.data(), total_rows,
+                  slot->pred_staging.data());
+    const std::size_t* pred = slot->pred_staging.data();
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      std::copy_n(pred, requests[i].count, results[i].predictions.begin());
+      pred += requests[i].count;
+    }
+  }
+  // A pass that throws drops its slot; the next caller short of one plans
+  // a fresh arena.
+  std::lock_guard<std::mutex> lock(*slots_mutex_);
+  idle_slots_.push_back(std::move(slot));
+}
+
+InferenceResult InferenceSession::run_rows(const float* rows_data,
+                                           std::size_t rows) {
+  OPENEI_CHECK(rows > 0, "run_rows of zero rows");
+  InferenceResult result = priced(rows);
+  Rows request{rows_data, rows};
+  predict_rows({&request, 1}, {&result, 1});
   return result;
+}
+
+InferenceResult InferenceSession::run(const nn::Tensor& batch) {
+  std::size_t rows = batch.shape().dim(0);
+  OPENEI_CHECK(batch.elements() == rows * input_elems_,
+               "batch sample shape does not match model input");
+  return run_rows(batch.data().data(), rows);
 }
 
 std::vector<InferenceResult> InferenceSession::predict_batch(
     const std::vector<nn::Tensor>& requests) {
   OPENEI_CHECK(!requests.empty(), "predict_batch of zero requests");
-  std::size_t sample_elems = model_.input_shape().elements();
-  std::size_t total_rows = 0;
+  std::vector<Rows> rows;
+  std::vector<InferenceResult> results;
+  rows.reserve(requests.size());
+  results.reserve(requests.size());
   for (const nn::Tensor& request : requests) {
     OPENEI_CHECK(request.shape().rank() >= 2, "request needs a batch dim");
-    OPENEI_CHECK(request.elements() ==
-                     request.shape().dim(0) * sample_elems,
+    std::size_t count = request.shape().dim(0);
+    OPENEI_CHECK(request.elements() == count * input_elems_,
                  "request sample shape does not match model input");
-    total_rows += request.shape().dim(0);
+    rows.push_back(Rows{request.data().data(), count});
+    results.push_back(priced(count));
   }
-
-  // Arena path: stage fused rows into a grow-only scratch vector and run the
-  // pre-planned executor — no Tensor construction, so steady-state batched
-  // inference stays allocation-free.  Values are bit-identical to the Tensor
-  // path (the arena replicates every layer's arithmetic exactly).
-  std::vector<std::size_t> fused_predictions;
-  bool done = false;
-  if (arena_ != nullptr) {
-    std::unique_lock<std::mutex> lock(*arena_mutex_, std::try_to_lock);
-    if (lock.owns_lock()) {
-      if (fused_staging_.size() < total_rows * sample_elems) {
-        fused_staging_.resize(total_rows * sample_elems);
-      }
-      std::size_t offset = 0;
-      for (const nn::Tensor& request : requests) {
-        auto in = request.data();
-        std::copy(in.begin(), in.end(), fused_staging_.begin() + offset);
-        offset += in.size();
-      }
-      if (pred_staging_.size() < total_rows) pred_staging_.resize(total_rows);
-      arena_->predict(fused_staging_.data(), total_rows, pred_staging_.data());
-      fused_predictions.assign(pred_staging_.begin(),
-                               pred_staging_.begin() + total_rows);
-      done = true;
-    }
-  }
-  if (!done) {
-    std::vector<std::size_t> dims{total_rows};
-    for (std::size_t d : model_.input_shape().dims()) dims.push_back(d);
-    nn::Tensor fused{tensor::Shape(dims)};
-    auto out = fused.data();
-    std::size_t offset = 0;
-    for (const nn::Tensor& request : requests) {
-      auto in = request.data();
-      std::copy(in.begin(), in.end(), out.begin() + offset);
-      offset += in.size();
-    }
-    fused_predictions = model_.predict(fused);
-  }
-
-  std::vector<InferenceResult> results;
-  results.reserve(requests.size());
-  std::size_t row = 0;
-  for (const nn::Tensor& request : requests) {
-    std::size_t rows = request.shape().dim(0);
-    InferenceResult slice;
-    slice.predictions.assign(fused_predictions.begin() + row,
-                             fused_predictions.begin() + row + rows);
-    slice.per_sample = per_sample_;
-    slice.batch_latency_s = per_sample_.latency_s * static_cast<double>(rows);
-    slice.batch_energy_j = per_sample_.energy_j * static_cast<double>(rows);
-    results.push_back(std::move(slice));
-    row += rows;
-  }
+  predict_rows(rows, results);
   return results;
-}
-
-nn::Tensor InferenceSession::forward(const nn::Tensor& batch) {
-  return model_.forward(batch, /*training=*/false);
 }
 
 LocalTrainingResult retrain_head_locally(const nn::Model& model,

@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <mutex>
+#include <span>
 
 #include "common/json.h"
 #include "data/dataset.h"
@@ -35,7 +36,8 @@ class InferenceSession {
  public:
   /// Throws ResourceExhausted when the model does not fit the device's RAM
   /// under the package — the deployment failure mode the model selector's
-  /// memory constraint exists to avoid.
+  /// memory constraint exists to avoid — and InvalidArgument when the model
+  /// has no flat logit output, so the forward arena cannot serve it.
   InferenceSession(nn::Model model, hwsim::PackageSpec package,
                    hwsim::DeviceProfile device);
 
@@ -43,45 +45,59 @@ class InferenceSession {
   InferenceResult run(const nn::Tensor& batch);
 
   /// Same as run() over raw row-major floats ([rows * input_elems]) — the
-  /// steady-state serving path: with the arena active, no Tensor is ever
-  /// constructed, so a warm request performs zero tensor heap allocations.
-  /// Falls back to the Tensor path (bit-identical) when the arena is absent
-  /// or contended.
+  /// steady-state serving path: no Tensor is ever constructed, so a warm
+  /// request performs zero tensor heap allocations.
   InferenceResult run_rows(const float* rows_data, std::size_t rows);
 
   /// Batched inference: fuses independent row-batches into one forward pass
-  /// and slices the results back per request.  Every layer computes each
-  /// sample independently at inference time, so result i is bit-identical
-  /// to run(requests[i]) — fusing trades nothing but latency for
-  /// throughput.  All requests must match the model's sample shape.
+  /// and slices the results back per request, so result i is bit-identical
+  /// to run(requests[i]).  A model with dynamic-range int8 layers picks its
+  /// activation range per pass, so its requests run as separate passes.
+  /// All requests must match the model's sample shape.
   std::vector<InferenceResult> predict_batch(
       const std::vector<nn::Tensor>& requests);
-
-  /// Raw logits (used by collaboration/distillation flows).
-  nn::Tensor forward(const nn::Tensor& batch);
 
   const nn::Model& model() const { return model_; }
   const hwsim::PackageSpec& package() const { return package_; }
   const hwsim::DeviceProfile& device() const { return device_; }
   const hwsim::InferenceCost& per_sample_cost() const { return per_sample_; }
 
-  /// True when the session pre-planned a zero-allocation forward arena for
-  /// this model (all layer types supported).  Steady-state run/predict_batch
-  /// calls then allocate no tensor memory.
-  bool arena_active() const { return arena_ != nullptr; }
-
  private:
+  /// One request's rows: [rows * input_elems] row-major floats.
+  struct Rows {
+    const float* data;
+    std::size_t count;
+  };
+  /// A forward arena plus the staging a fused pass needs.  One caller holds
+  /// it for the length of a pass.
+  struct ArenaSlot {
+    std::unique_ptr<ForwardArena> arena;
+    std::vector<float> fused_staging;
+    std::vector<std::size_t> pred_staging;
+  };
+
+  /// The session's one forward path: runs the requests on an idle arena and
+  /// writes each request's argmax into the matching results[i].predictions
+  /// (pre-sized).  A session has concurrent callers on the served path —
+  /// every /ei_stream worker on the model beside the MicroBatcher's flush
+  /// thread — so a caller that finds every arena busy plans another rather
+  /// than wait: the pool grows to the peak number of concurrent callers,
+  /// and steady state allocates nothing.
+  void predict_rows(std::span<const Rows> requests,
+                    std::span<InferenceResult> results);
+  std::unique_ptr<ArenaSlot> plan_slot();
+  /// A result with `rows` predictions slots and the simulated batch cost.
+  InferenceResult priced(std::size_t rows) const;
+
   nn::Model model_;
   hwsim::PackageSpec package_;
   hwsim::DeviceProfile device_;
   hwsim::InferenceCost per_sample_;
-  // Arena state is behind unique_ptrs so the session stays movable (mutexes
-  // are not); concurrent callers that miss the try_lock fall back to the
-  // Tensor path, which computes bit-identical values.
-  std::unique_ptr<ForwardArena> arena_;
-  std::unique_ptr<std::mutex> arena_mutex_;
-  std::vector<float> fused_staging_;
-  std::vector<std::size_t> pred_staging_;
+  std::size_t input_elems_ = 0;
+  bool dynamic_ranges_ = false;
+  // Behind a unique_ptr so the session stays movable (mutexes are not).
+  std::unique_ptr<std::mutex> slots_mutex_;
+  std::vector<std::unique_ptr<ArenaSlot>> idle_slots_;
 };
 
 /// On-device transfer learning: retrains the model's final dense head (all

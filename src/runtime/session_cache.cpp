@@ -202,9 +202,7 @@ std::vector<SessionCache::ResidentInfo> SessionCache::resident_info() const {
   std::vector<std::pair<std::uint64_t, ResidentInfo>> order;
   order.reserve(resident_.size());
   for (const auto& [name, resident] : resident_) {
-    order.emplace_back(resident.last_used,
-                       ResidentInfo{name, resident.bytes,
-                                    resident.session->arena_active()});
+    order.emplace_back(resident.last_used, ResidentInfo{name, resident.bytes});
   }
   std::sort(order.begin(), order.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });

@@ -128,7 +128,6 @@ class SessionCache {
   struct ResidentInfo {
     std::string name;
     std::size_t bytes = 0;
-    bool arena_active = false;
   };
   std::vector<ResidentInfo> resident_info() const;
 

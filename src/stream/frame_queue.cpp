@@ -151,6 +151,7 @@ PushResult FrameQueue::push(Frame frame, double max_wait_s) {
 }
 
 void FrameQueue::settle_locked() {
+  std::size_t queued = frames_.size();
   while (!frames_.empty()) {
     // Latest-wins: everything but the newest queued frame is superseded.
     // Classified as a policy drop even when also expired — the policy made
@@ -169,6 +170,9 @@ void FrameQueue::settle_locked() {
     }
     break;
   }
+  // Drops free space a blocked producer may be waiting for.  Wake it now:
+  // the caller may go to sleep on the emptied queue next.
+  if (frames_.size() < queued) gate_.notify_all();
 }
 
 std::optional<Frame> FrameQueue::take_front_locked() {

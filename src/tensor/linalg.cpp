@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "common/parallel.h"
 #include "tensor/ops.h"
 #include "tensor/pack.h"
 
@@ -16,16 +15,18 @@ namespace {
 /// in L2 while the row panel streams over it.
 constexpr std::size_t kKc = 256;
 
-/// Serial kernel for C rows [row_begin, row_end): k-blocked, two A rows per
-/// sweep so each loaded B row feeds two output rows.  For any fixed C
-/// element the adds happen in ascending-k order — the same order as the
-/// naive i-k-j loop — so blocking changes nothing bitwise.
-void gemm_panel(const float* a, const float* b, float* c, std::size_t row_begin,
-                std::size_t row_end, std::size_t k, std::size_t n) {
+}  // namespace
+
+void gemm_ref(const float* a, const float* b, float* c, std::size_t m,
+              std::size_t k, std::size_t n) {
+  // k-blocked, two A rows per sweep so each loaded B row feeds two output
+  // rows.  For any fixed C element the adds happen in ascending-k order —
+  // the same order as the naive i-k-j loop — so blocking changes nothing
+  // bitwise.
   for (std::size_t kk = 0; kk < k; kk += kKc) {
     std::size_t k_end = std::min(k, kk + kKc);
-    std::size_t i = row_begin;
-    for (; i + 1 < row_end; i += 2) {
+    std::size_t i = 0;
+    for (; i + 1 < m; i += 2) {
       float* c0 = c + i * n;
       float* c1 = c0 + n;
       for (std::size_t p = kk; p < k_end; ++p) {
@@ -40,7 +41,7 @@ void gemm_panel(const float* a, const float* b, float* c, std::size_t row_begin,
         }
       }
     }
-    if (i < row_end) {
+    if (i < m) {
       float* c0 = c + i * n;
       for (std::size_t p = kk; p < k_end; ++p) {
         float a0 = a[i * k + p];
@@ -50,23 +51,6 @@ void gemm_panel(const float* a, const float* b, float* c, std::size_t row_begin,
       }
     }
   }
-}
-
-}  // namespace
-
-void gemm_ref(const float* a, const float* b, float* c, std::size_t m,
-              std::size_t k, std::size_t n) {
-  // Below ~64k multiply-adds the fork/join overhead dominates; stay serial.
-  if (m * k * n < 65536 || m < 2) {
-    gemm_panel(a, b, c, 0, m, k, n);
-    return;
-  }
-  // Row panels write disjoint C rows, so threads never share an output.
-  std::size_t grain = std::max<std::size_t>(1, 65536 / std::max<std::size_t>(1, k * n));
-  common::parallel_for(
-      0, m,
-      [&](std::size_t lo, std::size_t hi) { gemm_panel(a, b, c, lo, hi, k, n); },
-      grain);
 }
 
 void gemm(const float* a, const float* b, float* c, std::size_t m,

@@ -21,12 +21,11 @@ namespace openei::tensor {
 void gemm(const float* a, const float* b, float* c, std::size_t m,
           std::size_t k, std::size_t n);
 
-/// Exact-math scalar reference GEMM: cache-blocked over k, register-blocked
-/// two output rows at a time, parallelized over row panels.  Each C element
-/// accumulates in ascending-k order with plain multiply-then-add (no FMA
-/// contraction), so the result is bit-identical to the naive i-k-j loop at
-/// any OPENEI_THREADS setting.  The equivalence suite bounds the dispatched
-/// gemm against this.
+/// Exact-math scalar reference GEMM, serial: cache-blocked over k,
+/// register-blocked two output rows at a time.  Each C element accumulates
+/// in ascending-k order with plain multiply-then-add (no FMA contraction),
+/// so the result is bit-identical to the naive i-k-j loop.  The
+/// equivalence suite bounds the dispatched gemm against this.
 void gemm_ref(const float* a, const float* b, float* c, std::size_t m,
               std::size_t k, std::size_t n);
 

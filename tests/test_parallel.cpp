@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <future>
 #include <thread>
 #include <vector>
@@ -278,6 +279,71 @@ TEST(PredictBatchTest, RejectsMismatchedSampleShape) {
   runtime::InferenceSession session = make_session(rng);
   EXPECT_THROW(session.predict_batch({Tensor(Shape{2, 7})}), InvalidArgument);
   EXPECT_THROW(session.predict_batch({}), InvalidArgument);
+}
+
+TEST(PredictBatchTest, ConcurrentCallersMatchSerialWithoutAllocating) {
+  // run_rows callers and a predict_batch caller hit one session at once.
+  // Each runs on an arena of its own from the session's pool, so every
+  // answer matches the serial reference and no caller allocates tensors.
+  Rng rng(24);
+  runtime::InferenceSession session(
+      nn::zoo::make_mlp("shared", 16, 5, {64, 32}, rng),
+      hwsim::openei_package(), hwsim::raspberry_pi_4());
+  constexpr std::size_t kRowThreads = 4;
+  constexpr std::size_t kRows = 3;
+  constexpr int kRounds = 200;
+  std::vector<Tensor> inputs;
+  for (std::size_t t = 0; t < kRowThreads; ++t) {
+    inputs.push_back(Tensor::random_normal(Shape{kRows, 16}, rng));
+  }
+  std::vector<Tensor> batch_requests{Tensor::random_normal(Shape{2, 16}, rng),
+                                     Tensor::random_normal(Shape{4, 16}, rng)};
+  // Serial reference; it also warms the first arena and its fused staging.
+  std::vector<std::vector<std::size_t>> expected;
+  for (const Tensor& input : inputs) {
+    expected.push_back(session.run(input).predictions);
+  }
+  for (const runtime::InferenceResult& result :
+       session.predict_batch(batch_requests)) {
+    expected.push_back(result.predictions);
+  }
+
+  std::atomic<bool> go{false};
+  std::vector<std::uint64_t> allocations(kRowThreads + 1, 0);
+  std::vector<int> mismatches(kRowThreads + 1, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kRowThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      tensor::AllocationTrackingScope scope;
+      for (int round = 0; round < kRounds; ++round) {
+        runtime::InferenceResult result =
+            session.run_rows(inputs[t].data().data(), kRows);
+        if (result.predictions != expected[t]) ++mismatches[t];
+      }
+      allocations[t] = scope.stats().allocations;
+    });
+  }
+  threads.emplace_back([&] {
+    while (!go.load()) std::this_thread::yield();
+    tensor::AllocationTrackingScope scope;
+    for (int round = 0; round < kRounds; ++round) {
+      std::vector<runtime::InferenceResult> results =
+          session.predict_batch(batch_requests);
+      for (std::size_t i = 0; i < results.size(); ++i) {
+        if (results[i].predictions != expected[kRowThreads + i]) {
+          ++mismatches[kRowThreads];
+        }
+      }
+    }
+    allocations[kRowThreads] = scope.stats().allocations;
+  });
+  go.store(true);
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t <= kRowThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+    EXPECT_EQ(allocations[t], 0U) << "thread " << t;
+  }
 }
 
 TEST(MicroBatcherTest, FlushesOnTimeoutWithoutFillingBatch) {

@@ -9,7 +9,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -20,8 +23,11 @@
 #include "hwsim/device.h"
 #include "hwsim/package.h"
 #include "nn/activations.h"
+#include "nn/batchnorm.h"
 #include "nn/conv.h"
 #include "nn/dense.h"
+#include "nn/factored_conv.h"
+#include "nn/residual.h"
 #include "nn/serialize.h"
 #include "nn/zoo.h"
 #include "runtime/arena.h"
@@ -759,24 +765,136 @@ TEST(ArenaTest, BitwiseEqualForMlpAndQuantizedModels) {
   }
 }
 
-TEST(ArenaTest, StructuredOutputModelFallsBackToTensorPath) {
-  Rng rng(83);
+/// One table row: a model whose sample shape runs through the layer under
+/// test, then a Flatten + Dense head down to three logits.
+struct LayerRow {
+  Shape sample;
+  std::function<nn::LayerPtr(Rng&)> make;
+};
+
+Tensor random_conv_weights(const Shape& shape, Rng& rng) {
+  return Tensor::random_uniform(shape, rng, -0.5F, 0.5F);
+}
+
+TEST(ArenaTest, PlansEveryLayerTypeAndRefusesStructuredOutput) {
+  const Shape image{2, 8, 8};
+  const Shape flat{16};
+  tensor::Conv2dSpec conv3;
+  conv3.in_channels = 2;
+  conv3.out_channels = 3;
+  conv3.kernel = 3;
+  conv3.padding = 1;
+  tensor::Conv2dSpec depthwise = conv3;
+  depthwise.out_channels = 2;
+  tensor::Conv2dSpec body2 = conv3;
+  body2.in_channels = 3;
+  tensor::Conv2dSpec project = conv3;
+  project.kernel = 1;
+  project.padding = 0;
+
+  const std::vector<LayerRow> table = {
+      {flat, [](Rng& r) { return std::make_unique<nn::Dense>(16, 8, r); }},
+      {flat,
+       [](Rng& r) { return nn::QuantizedDense::from_dense(nn::Dense(16, 8, r)); }},
+      {flat,
+       [](Rng& r) {
+         return std::make_unique<nn::FactoredDense>(
+             Tensor::random_uniform(Shape{16, 4}, r, -0.5F, 0.5F),
+             Tensor::random_uniform(Shape{4, 8}, r, -0.5F, 0.5F),
+             Tensor::random_uniform(Shape{8}, r, -0.1F, 0.1F));
+       }},
+      {image, [&](Rng& r) { return std::make_unique<nn::Conv2d>(conv3, r); }},
+      {image,
+       [&](Rng& r) {
+         return nn::QuantizedConv2d::from_conv(nn::Conv2d(conv3, r));
+       }},
+      {image,
+       [&](Rng& r) {
+         return std::make_unique<nn::FactoredConv2d>(
+             conv3, random_conv_weights(Shape{2, 2, 3, 3}, r),
+             random_conv_weights(Shape{3, 2, 1, 1}, r),
+             Tensor::random_uniform(Shape{3}, r, -0.1F, 0.1F));
+       }},
+      {image,
+       [&](Rng& r) { return std::make_unique<nn::DepthwiseConv2d>(depthwise, r); }},
+      {image, [](Rng&) { return std::make_unique<nn::MaxPool2d>(2); }},
+      {image, [](Rng&) { return std::make_unique<nn::AvgPool2d>(2); }},
+      {image, [](Rng&) { return std::make_unique<nn::GlobalAvgPool>(); }},
+      {image,
+       [](Rng& r) {
+         auto bn = std::make_unique<nn::BatchNorm>(2);
+         bn->running_mean() = Tensor::random_uniform(Shape{2}, r, -0.5F, 0.5F);
+         bn->running_var() = Tensor::random_uniform(Shape{2}, r, 0.5F, 2.0F);
+         return bn;
+       }},
+      {image,
+       [&](Rng& r) {
+         std::vector<nn::LayerPtr> body;
+         body.push_back(std::make_unique<nn::Conv2d>(conv3, r));
+         body.push_back(std::make_unique<nn::Relu>());
+         body.push_back(std::make_unique<nn::Conv2d>(body2, r));
+         return std::make_unique<nn::ResidualBlock>(
+             std::move(body), std::make_unique<nn::Conv2d>(project, r));
+       }},
+      {image, [](Rng&) { return std::make_unique<nn::Relu>(); }},
+      {image, [](Rng&) { return std::make_unique<nn::Sigmoid>(); }},
+      {image, [](Rng&) { return std::make_unique<nn::Tanh>(); }},
+      {image, [](Rng&) { return std::make_unique<nn::Dropout>(0.5F, 1); }},
+      {image, [](Rng&) { return std::make_unique<nn::Flatten>(); }},
+  };
+
+  std::set<std::string> planned;
+  for (const LayerRow& row : table) {
+    Rng rng(83);
+    nn::LayerPtr layer = row.make(rng);
+    std::string type = layer->type();
+    std::size_t features = layer->output_shape(row.sample).elements();
+    nn::Model model(type, row.sample);
+    model.add(std::move(layer));
+    model.add(std::make_unique<nn::Flatten>());
+    model.add(std::make_unique<nn::Dense>(features, 3, rng));
+    std::vector<std::size_t> dims{4};
+    for (std::size_t d : row.sample.dims()) dims.push_back(d);
+    Tensor batch = Tensor::random_uniform(Shape(dims), rng, -1.0F, 1.0F);
+    expect_arena_matches_model(model, batch);
+    planned.insert(type);
+  }
+  EXPECT_EQ(planned.size(), 17U) << "every nn::Layer subclass has a row";
+
+  // A conv-only model ends in a [2, 6, 6] feature map, not a logit vector:
+  // the arena declines it, so no session can serve it.
+  Rng rng(89);
   tensor::Conv2dSpec spec;
   spec.in_channels = 1;
   spec.out_channels = 2;
   spec.kernel = 3;
   nn::Model conv_only("conv_only", Shape{1, 8, 8});
   conv_only.add(std::make_unique<nn::Conv2d>(spec, rng));
-  // Output is [2, 6, 6] — not a logit vector, so planning must decline.
   EXPECT_EQ(runtime::ForwardArena::plan(conv_only), nullptr);
+  EXPECT_THROW(runtime::InferenceSession(std::move(conv_only),
+                                         hwsim::openei_package(),
+                                         hwsim::raspberry_pi_4()),
+               InvalidArgument);
+}
 
-  runtime::InferenceSession session(std::move(conv_only),
-                                    hwsim::openei_package(),
-                                    hwsim::raspberry_pi_4());
-  EXPECT_FALSE(session.arena_active());
-  // The Tensor path still serves structured-output forwards.
-  Tensor batch = Tensor::random_uniform(Shape{1, 1, 8, 8}, rng, -1.0F, 1.0F);
-  EXPECT_EQ(session.forward(batch).shape(), (Shape{1, 2, 6, 6}));
+TEST(ArenaTest, DynamicRangeInt8BatchMatchesSoloRuns) {
+  // Without calibration each int8 layer fits its activation range to the
+  // pass, so fusing a narrow-range request with a wide-range one would
+  // quantize the narrow one coarsely.  predict_batch must run them apart.
+  Rng rng(109);
+  nn::Model mlp = nn::zoo::make_mlp("dynamic", 12, 4, {32, 16}, rng);
+  runtime::InferenceSession session(
+      std::move(compress::quantize_int8(mlp).model), hwsim::openei_package(),
+      hwsim::raspberry_pi_4());
+  std::vector<Tensor> requests;
+  requests.push_back(Tensor::random_uniform(Shape{64, 12}, rng, -1.0F, 1.0F));
+  requests.push_back(Tensor::random_uniform(Shape{2, 12}, rng, -100.0F, 100.0F));
+  std::vector<runtime::InferenceResult> fused = session.predict_batch(requests);
+  ASSERT_EQ(fused.size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(fused[i].predictions, session.run(requests[i]).predictions)
+        << "request " << i;
+  }
 }
 
 /// The zero-allocation regression (satellite): after the first call warms the
@@ -785,7 +903,6 @@ void expect_zero_alloc_steady_state(nn::Model model, const Tensor& batch) {
   std::string name = model.name();
   runtime::InferenceSession session(std::move(model), hwsim::openei_package(),
                                     hwsim::raspberry_pi_4());
-  ASSERT_TRUE(session.arena_active()) << name;
 
   auto first = session.run(batch);  // warms the arena to batch rows
   std::vector<std::size_t> expected = first.predictions;

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -255,6 +256,44 @@ TEST(FrameQueueTest, ExpiredFramesDroppedAtPopNeverDelivered) {
   EXPECT_EQ(counters.delivered, 1U);
   now_ns = 10'000'000'000;
   EXPECT_FALSE(queue.try_pop().has_value());  // nothing left to expire
+}
+
+TEST(FrameQueueTest, BlockedProducerWakesWhenExpiryEmptiesTheQueue) {
+  // The consumer drops the full queue's expired head and then sleeps on the
+  // empty queue; the producer blocked on that full queue must wake and be
+  // admitted, or both wait on each other for good.
+  std::atomic<std::int64_t> now_ns{0};
+  FrameQueue::Options options;
+  options.capacity = 1;
+  options.policy = AdmitPolicy::kBlock;
+  options.deadline_s = 1.0;
+  options.now = [&now_ns] { return now_ns.load(); };
+  FrameQueue queue(options);
+  ASSERT_EQ(queue.push(bare_frame()).outcome, PushOutcome::kAdmitted);
+  // A timed wait, so a lost wake shows up as the full 5s instead of a hang.
+  PushResult pushed;
+  double waited_s = 0.0;
+  std::thread producer([&] {
+    auto start = std::chrono::steady_clock::now();
+    pushed = queue.push(bare_frame(), 5.0);
+    waited_s = std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start)
+                   .count();
+  });
+  while (queue.counters().blocked_pushes == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  now_ns.store(2'000'000'000);  // seq 1 expires while the producer waits
+  std::optional<Frame> popped;
+  std::thread consumer([&] { popped = queue.pop(); });
+  producer.join();
+  EXPECT_EQ(pushed.outcome, PushOutcome::kAdmitted);
+  EXPECT_LT(waited_s, 2.5);
+  queue.close();  // releases the consumer should the producer have failed
+  consumer.join();
+  ASSERT_TRUE(popped.has_value());
+  EXPECT_EQ(popped->seq, 2U);
+  EXPECT_EQ(queue.counters().dropped_deadline, 1U);
 }
 
 TEST(FrameQueueTest, FrameKeepsEarlierOfOwnAndQueueDeadline) {

@@ -124,10 +124,8 @@ TEST(TraceGolden, CoalescedRequestEmitsTheCanonicalSpanTree) {
   EXPECT_GE(batch_attrs.at("batch_rows").as_number(), 1.0);
   EXPECT_GE(batch_attrs.at("flush_rows").as_number(), 1.0);
   EXPECT_EQ(batch_attrs.at("flush_requests").as_number(), 1.0);
-  // The MLP plans onto the zero-alloc forward arena, so the fused forward
-  // allocates no tensors; the `arena` flag distinguishes this from a broken
-  // allocation tracker.
-  EXPECT_EQ(batch_attrs.at("arena").as_number(), 1.0);
+  // Every session forward runs on the zero-alloc arena, so the fused
+  // forward allocates no tensors.
   EXPECT_EQ(batch_attrs.at("peak_tensor_bytes").as_number(), 0.0);
 
   EXPECT_TRUE(child_names(child_named(root, "ei.serialize")).empty());
@@ -153,9 +151,8 @@ TEST(TraceGolden, DirectPathHasNoBatchSpanAndArenaForwardIsZeroAlloc) {
   const Json& infer = child_named(root, "ei.infer");
   EXPECT_TRUE(child_names(infer).empty());
   EXPECT_EQ(infer.at("attributes").at("coalesced").as_number(), 0.0);
-  // The direct path wraps the forward in an AllocationTrackingScope; the MLP
-  // plans onto the zero-alloc arena, so the peak on ei.infer must be zero.
-  EXPECT_EQ(infer.at("attributes").at("arena").as_number(), 1.0);
+  // The direct path wraps the forward in an AllocationTrackingScope; the
+  // forward runs on the zero-alloc arena, so the peak on ei.infer is zero.
   EXPECT_EQ(infer.at("attributes").at("peak_tensor_bytes").as_number(), 0.0);
 }
 
