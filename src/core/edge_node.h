@@ -23,8 +23,9 @@ struct EdgeNodeConfig {
   hwsim::DeviceProfile device;   // what hardware this node simulates
   hwsim::PackageSpec package;    // which deep-learning package it runs
   std::size_t sensor_capacity = 4096;
-  /// libei behaviour: inference coalescing, micro-batching knobs, and
-  /// per-request tracing (service.tracing.enabled turns /ei_trace on).
+  /// libei behaviour: session budget and micro-batching knobs
+  /// (service.lifecycle), and per-request tracing (service.tracing.enabled
+  /// turns /ei_trace on).
   libei::EiService::Options service = {};
 };
 
@@ -83,7 +84,7 @@ class EdgeNode {
 
   /// The node's shared outbound-transport resilience counters (also exposed
   /// by GET /ei_status under "resilience").  Wire this into any
-  /// ResilientClient / FailoverClient acting on the node's behalf.
+  /// ResilientClient acting on the node's behalf.
   const std::shared_ptr<net::ResilienceMetrics>& resilience_metrics() const {
     return service_.resilience();
   }

@@ -31,7 +31,7 @@ Router::Router(std::vector<NodeEndpoint> nodes, RouterOptions options)
   meter_.describe("ei_fleet_forwards_total",
                   "Forward attempts per member node, by outcome");
   meter_.describe("ei_fleet_failovers_total",
-                  "Requests that needed at least one replica hop");
+                  "Requests a replica served after an owner was unreachable");
   meter_.describe("ei_fleet_failbacks_total",
                   "Nodes returned to the ring after a successful probe");
   meter_.describe("ei_fleet_node_down_total",
@@ -162,6 +162,7 @@ void Router::mark_up(const std::string& node_id) {
   }
   common::log_info("fleet: node ", node_id, " failed back into the ring");
   meter_.counter("ei_fleet_failbacks_total").increment();
+  if (resilience_) ++resilience_->failbacks;
   // The revived node re-enters the ring at its old points, so keys rebalance
   // back to it — and may need their models (a revived replacement process
   // starts empty; an in-process revive still has them, the push then 201s as
@@ -315,6 +316,7 @@ HttpResponse Router::route(const HttpRequest& request) {
   }
 
   std::string last_error;
+  bool failed_over = false;  // an earlier owner was unreachable
   std::optional<HttpResponse> replica_miss;
   for (std::size_t hop = 0; hop < owners.size(); ++hop) {
     const std::string& node_id = owners[(first + hop) % owners.size()];
@@ -353,16 +355,19 @@ HttpResponse Router::route(const HttpRequest& request) {
           .counter("ei_fleet_forwards_total",
                    {{"node", node_id}, {"outcome", "ok"}})
           .increment();
-      if (hop > 0) {
+      // Only a transport failure makes a failover: a 404 from a peer owner
+      // is an application answer that would repeat on any replica.
+      if (failed_over) {
         meter_.counter("ei_fleet_failovers_total").increment();
         if (resilience_) ++resilience_->failovers;
       }
-      return finish(std::move(response), hop > 0 ? "failover" : "ok");
+      return finish(std::move(response), failed_over ? "failover" : "ok");
     } catch (const IoError& e) {
       // Timeout, refused, reset, or an already-open breaker: the node is
       // unreachable as far as this request is concerned.  Count it toward
       // the node's health and try the next replica.
       last_error = e.what();
+      failed_over = true;
       meter_
           .counter("ei_fleet_forwards_total",
                    {{"node", node_id}, {"outcome", "error"}})

@@ -81,7 +81,7 @@ struct RouterOptions {
       /*seed=*/42,
       /*metrics=*/nullptr};
   /// Consecutive forward failures that mark a node down (1 = a single
-  /// exhausted retry budget is enough — the FailoverClient convention).
+  /// exhausted retry budget is enough).
   std::size_t node_failure_threshold = 1;
   /// While any node is down, probe the down set every this many routed
   /// requests (count-based, so tests are deterministic).  probe_down_nodes()
@@ -107,8 +107,10 @@ class Router {
   // --- Serving ----------------------------------------------------------
   /// Routes one request by key: forwards to the key's owners in failover
   /// order.  Returns the first reachable owner's response (including 4xx —
-  /// application errors would repeat identically on a replica); answers 503
-  /// JSON when every owner is unreachable, or when no node is up.
+  /// application errors would repeat identically on a replica, so they
+  /// neither mark a node down nor count as a failover); answers 503
+  /// {"error":"fleet_unavailable"} when every owner is unreachable, or when
+  /// no node is up.  Never throws for an unreachable fleet.
   net::HttpResponse route(const net::HttpRequest& request);
   /// Convenience: builds the HttpRequest from method/target/body.
   net::HttpResponse route(const std::string& method, const std::string& target,

@@ -39,9 +39,7 @@ EiService::EiService(runtime::ModelRegistry& registry, datastore::SensorStore& s
                                                           options.energy)),
       lifecycle_(registry_, package_, device_,
                  [&] {
-                   // One batching knob: the service-level options win.
                    runtime::SessionCache::Options lifecycle = options.lifecycle;
-                   lifecycle.batching = options.batching;
                    lifecycle.batching.governor = governor_;
                    lifecycle.batcher_metrics = batcher_metrics_;
                    return lifecycle;
@@ -55,9 +53,6 @@ EiService::EiService(runtime::ModelRegistry& registry, datastore::SensorStore& s
                  return streaming;
                }(),
                &tracer_, &meter_) {
-  // The service-level batching options now carry the governor too, so the
-  // "batching" status block and any transient batchers agree with lifecycle.
-  options_.batching.governor = governor_;
   // handle_stream builds each session's options from this stored copy (not
   // the manager defaults above), so it must carry the governor as well or
   // HTTP-opened streams would never charge the ledger.
@@ -311,9 +306,8 @@ HttpResponse EiService::handle_status() {
     out.set("serving", std::move(serving));
   }
   Json batching{JsonObject{}};
-  batching.set("coalescing", options_.coalesce_inference);
-  batching.set("max_batch_rows", options_.batching.max_batch_rows);
-  batching.set("max_wait_s", options_.batching.max_wait_s);
+  batching.set("max_batch_rows", options_.lifecycle.batching.max_batch_rows);
+  batching.set("max_wait_s", options_.lifecycle.batching.max_wait_s);
   batching.set("flushes", snapshot.batch_flushes);
   batching.set("coalesced_requests", snapshot.coalesced_requests);
   batching.set("max_fused_rows", snapshot.max_fused_rows);
@@ -647,7 +641,7 @@ HttpResponse EiService::handle_algorithm(const HttpRequest& request,
   // the generic 500 mapping, so convert here.
   runtime::SessionCache::Lease lease;
   try {
-    lease = lifecycle_.acquire(model_name, options_.coalesce_inference);
+    lease = lifecycle_.acquire(model_name, /*with_batcher=*/true);
   } catch (const runtime::MemoryPressureError& pressure) {
     Json body{JsonObject{}};
     body.set("error", "memory_pressure");
@@ -659,23 +653,11 @@ HttpResponse EiService::handle_algorithm(const HttpRequest& request,
   }
   const tensor::Shape& sample_shape = lease.session->model().input_shape();
 
-  // Stage 2 (ei.parse): resolve the input rows.  The direct path decodes
-  // into a grow-only thread-local buffer (steady state: zero tensor heap
-  // allocations per request); the coalesced path needs a real Tensor to
-  // ride the micro-batch queue.
+  // Stage 2 (ei.parse): resolve the input rows into the Tensor that rides
+  // the micro-batch queue.
   obs::Span parse_span = trace_root.child("ei.parse");
-  static thread_local std::vector<float> row_staging;
-  // optional<>: even a default-constructed Tensor counts as a (tracked)
-  // tensor allocation, which the direct path's zero-alloc guarantee forbids.
-  std::optional<nn::Tensor> batch;
-  std::size_t row_count = 0;
-  if (options_.coalesce_inference) {
-    batch = runtime::rows_to_batch(resolve_input(request), sample_shape);
-    row_count = batch->shape().dim(0);
-  } else {
-    row_count =
-        runtime::rows_to_floats(resolve_input(request), sample_shape, row_staging);
-  }
+  nn::Tensor batch = runtime::rows_to_batch(resolve_input(request), sample_shape);
+  std::size_t row_count = batch.shape().dim(0);
   double rows = static_cast<double>(row_count);
   if (parse_span.active()) {
     parse_span.set_attribute("rows", rows);
@@ -685,30 +667,16 @@ HttpResponse EiService::handle_algorithm(const HttpRequest& request,
   }
   parse_span.finish();
 
-  // Stage 3 (ei.infer): the forward pass, direct or coalesced.
+  // Stage 3 (ei.infer): concurrent connection threads funnel into the
+  // per-model micro-batch queue; this request's rows ride a fused forward
+  // pass (bit-identical to a solo run), and the flush thread charges the
+  // device ledger once per flush.  The ei.batch child span finishes on the
+  // flush thread with queue-wait vs fused-forward attribution (and peak
+  // tensor bytes seen there).
   obs::Span infer_span = trace_root.child("ei.infer");
-  runtime::InferenceResult result;
-  tensor::AllocationStats allocation;
-  if (options_.coalesce_inference) {
-    // Concurrent connection threads funnel into the per-model micro-batch
-    // queue; this request's rows ride a fused forward pass (bit-identical
-    // to a solo run) instead of serializing behind other requests.  The
-    // ei.batch child span finishes on the flush thread with queue-wait vs
-    // fused-forward attribution (and peak tensor bytes seen there).
-    result = lease.batcher
-                 ->submit(std::move(*batch), infer_span.child("ei.batch"))
-                 .get();
-  } else {
-    tensor::AllocationTrackingScope scope;
-    result = lease.session->run_rows(row_staging.data(), row_count);
-    allocation = scope.stats();
-    // Direct path: charge the ledger here (the coalesced path charged once
-    // per fused flush on the flush thread); with nothing queued behind a
-    // synchronous request, the device decays back toward idle.
-    result.ledger_energy_j =
-        governor_->charge(result.batch_latency_s, row_count);
-    governor_->on_drained();
-  }
+  runtime::InferenceResult result =
+      lease.batcher->submit(std::move(batch), infer_span.child("ei.batch"))
+          .get();
   // What the device ledger actually accrued for this request (DVFS-adjusted,
   // prorated across a fused flush) — the cost-model estimate is only a
   // fallback for batchers wired without a governor.
@@ -718,19 +686,12 @@ HttpResponse EiService::handle_algorithm(const HttpRequest& request,
   if (infer_span.active()) {
     infer_span.set_attribute("model", model_name);
     infer_span.set_attribute("rows", rows);
-    infer_span.set_attribute("coalesced",
-                             options_.coalesce_inference ? 1.0 : 0.0);
     // Simulated ALEM attribution from the hwsim cost model.
     infer_span.set_attribute("sim_latency_us", result.batch_latency_s * 1e6);
     infer_span.set_attribute("sim_energy_mj", request_energy_j * 1e3);
     infer_span.set_attribute(
         "sim_memory_bytes",
         static_cast<double>(result.per_sample.memory_bytes));
-    if (!options_.coalesce_inference) {
-      infer_span.set_attribute(
-          "peak_tensor_bytes",
-          static_cast<double>(allocation.peak_live_bytes));
-    }
   }
   infer_span.finish();
 

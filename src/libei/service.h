@@ -78,14 +78,10 @@ namespace openei::libei {
 class EiService {
  public:
   struct Options {
-    /// Coalesce concurrent /ei_algorithms inference through a per-model
-    /// micro-batching queue instead of serializing independent forward
-    /// passes.  Results are bit-identical either way.
-    bool coalesce_inference = true;
-    runtime::MicroBatcher::Options batching;
     /// Memory-governed model lifecycle: resident-session byte budget (0 =
     /// derive from the device profile), LRU eviction, admission control.
-    /// `lifecycle.batching` is ignored — `batching` above wins.
+    /// `lifecycle.batching` tunes the per-model micro-batching queue every
+    /// /ei_algorithms request rides (its governor is wired by the service).
     runtime::SessionCache::Options lifecycle;
     /// Per-request tracing (GET /ei_trace/{id}).  Off by default: disabled
     /// tracing costs one branch per instrumentation site.  The ALEM metric

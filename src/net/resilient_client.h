@@ -60,9 +60,10 @@ struct BreakerSnapshot {
   double last_transition_unix_s = 0.0;
 };
 
-/// Shared resilience counters.  Several clients (and a FailoverClient, and a
-/// degrading cloud-edge path) can feed one sink, which libei's /ei_status
-/// reports so the fleet can observe how the node's transport is coping.
+/// Shared resilience counters.  Several clients (a fleet::Router's per-node
+/// clients, a degrading cloud-edge path) can feed one sink, which libei's
+/// /ei_status and the router's /ei_fleet report so the fleet can observe how
+/// the transport is coping.  failovers/failbacks are counted by the router.
 struct ResilienceMetrics {
   std::atomic<std::uint64_t> attempts{0};
   std::atomic<std::uint64_t> successes{0};
@@ -130,8 +131,8 @@ class ResilientClient {
 
   /// Single no-retry attempt that bypasses an open breaker (a half-open
   /// trial).  Returns true when the endpoint answered with a non-5xx status;
-  /// updates the breaker either way.  Used by failover clients to
-  /// health-probe a recovered replica without waiting out the open window.
+  /// updates the breaker either way.  Used by fleet::Router to health-probe
+  /// a recovered node without waiting out the open window.
   bool probe(const std::string& target);
 
   CircuitState circuit_state() const;

@@ -98,8 +98,12 @@ void MicroBatcher::flush_loop() {
     lock.unlock();
     run_flush(std::move(batch));
     lock.lock();
-    if (pending_.empty() && options_.governor) options_.governor->on_drained();
   }
+}
+
+void MicroBatcher::report_if_drained() {
+  common::DrainGate::Lock lock = gate_.acquire();
+  if (pending_.empty() && options_.governor) options_.governor->on_drained();
 }
 
 void MicroBatcher::run_flush(std::deque<Pending> batch) {
@@ -137,6 +141,7 @@ void MicroBatcher::run_flush(std::deque<Pending> batch) {
   } catch (...) {
     // A malformed request poisons the whole flush; every caller learns why.
     std::exception_ptr error = std::current_exception();
+    report_if_drained();
     for (Pending& pending : batch) pending.promise.set_exception(error);
     return;
   }
@@ -181,6 +186,7 @@ void MicroBatcher::run_flush(std::deque<Pending> batch) {
     }
   }
 
+  report_if_drained();
   for (std::size_t i = 0; i < batch.size(); ++i) {
     batch[i].promise.set_value(std::move(results[i]));
   }

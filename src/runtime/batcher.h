@@ -92,6 +92,10 @@ class MicroBatcher {
   /// Pops up to max_batch_rows worth of requests (at least one).
   std::deque<Pending> take_flushable(common::DrainGate::Lock& lock);
   void run_flush(std::deque<Pending> batch);
+  /// Tells the governor the device may step back toward idle when nothing
+  /// is queued behind the flush.  run_flush calls it before it completes
+  /// any promise, so a serial caller never reads the ledger ahead of it.
+  void report_if_drained();
 
   std::shared_ptr<InferenceSession> session_;
   Options options_;

@@ -18,9 +18,7 @@ void ModelRegistry::put(ModelEntry entry) {
     next->prior.erase(name);  // fresh install has no prior
     next->current.emplace(name, std::move(snapshot_entry));
   }
-  table_.store(std::shared_ptr<const Table>(std::move(next)),
-               std::memory_order_release);
-  version_.fetch_add(1, std::memory_order_acq_rel);
+  publish(std::move(next));
 }
 
 bool ModelRegistry::contains(const std::string& name) const {
@@ -69,9 +67,7 @@ bool ModelRegistry::erase(const std::string& name) {
   auto next = std::make_shared<Table>(*table);
   next->current.erase(name);
   next->prior.erase(name);
-  table_.store(std::shared_ptr<const Table>(std::move(next)),
-               std::memory_order_release);
-  version_.fetch_add(1, std::memory_order_acq_rel);
+  publish(std::move(next));
   return true;
 }
 
@@ -83,10 +79,18 @@ bool ModelRegistry::rollback(const std::string& name) {
   auto next = std::make_shared<Table>(*table);
   next->current[name] = it->second;
   next->prior.erase(name);
-  table_.store(std::shared_ptr<const Table>(std::move(next)),
-               std::memory_order_release);
-  version_.fetch_add(1, std::memory_order_acq_rel);
+  publish(std::move(next));
   return true;
+}
+
+void ModelRegistry::publish(std::shared_ptr<const Table> next) {
+  {
+    std::lock_guard<std::mutex> lock(table_mutex_);
+    table_.swap(next);
+  }
+  // `next` now holds the replaced table; readers that still hold it keep it
+  // alive, and whoever drops it last frees it outside table_mutex_.
+  version_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 bool ModelRegistry::has_prior(const std::string& name) const {

@@ -16,10 +16,10 @@
 //     capability-row caches, and micro-batchers invalidate off it (or off
 //     snapshot pointer identity, which is equivalent per model).
 //
-// The read path is lock-free: lookups load an immutable copy-on-write table
-// through an atomic shared_ptr, so concurrent /ei_algorithms requests never
-// serialize on a registry mutex.  Writers copy the (pointer-sized) table
-// under a writer mutex and publish the new table atomically.
+// The read path never waits on a writer: lookups copy the shared_ptr to an
+// immutable copy-on-write table under a mutex held only for that pointer
+// copy.  Writers copy the table under a separate writer mutex and publish
+// the new one with a pointer swap under the same short lock.
 #pragma once
 
 #include <atomic>
@@ -104,13 +104,20 @@ class ModelRegistry {
   };
 
   std::shared_ptr<const Table> snapshot() const {
-    return table_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(table_mutex_);
+    return table_;
   }
+  /// Swaps `next` in as the current table and bumps the version.  The
+  /// caller holds write_mutex_.
+  void publish(std::shared_ptr<const Table> next);
 
   /// Serializes writers; readers never take it.
   mutable std::mutex write_mutex_;
-  std::atomic<std::shared_ptr<const Table>> table_{
-      std::make_shared<const Table>()};
+  /// Guards the table_ pointer only, never a table copy.  (Not
+  /// std::atomic<std::shared_ptr>: libstdc++ 12's load() releases its lock
+  /// bit with relaxed order, so a later store() races with it under TSan.)
+  mutable std::mutex table_mutex_;
+  std::shared_ptr<const Table> table_ = std::make_shared<const Table>();
   std::atomic<std::uint64_t> version_{0};
 };
 

@@ -168,12 +168,11 @@ TEST(BatcherEdges, ShapeErrorPoisonsOnlyItsFlush) {
 }
 
 TEST(BatcherEdges, SpanAttributesMatchStatusCounters) {
-  // Drive traced requests through a coalescing EdgeNode, then cross-check
+  // Drive traced requests through an EdgeNode, then cross-check
   // the ei.batch span attributes against the /ei_status batching counters:
   // the span's flush accounting and the metrics sink must tell one story.
   core::EdgeNodeConfig config{hwsim::raspberry_pi_4(),
                               hwsim::openei_package(), 64, {}};
-  config.service.coalesce_inference = true;
   config.service.tracing.enabled = true;
   config.service.tracing.ring_capacity = 16;
   core::EdgeNode node(std::move(config));
@@ -214,7 +213,6 @@ TEST(BatcherEdges, SpanAttributesMatchStatusCounters) {
   common::Json status =
       common::Json::parse(node.call("GET", "/ei_status").body);
   const common::Json& batching = status.at("batching");
-  EXPECT_TRUE(batching.at("coalescing").as_bool());
   // One flush per serial request; none fused; the largest fused batch is a
   // single row — in exact agreement with every span above.
   EXPECT_EQ(batching.at("flushes").as_number(),

@@ -346,10 +346,9 @@ std::unique_ptr<core::EdgeNode> make_energy_node(double power_cap_w,
   core::EdgeNodeConfig config{test_device(), hwsim::openei_package(), 64, {}};
   config.service.tracing.enabled = true;
   config.service.tracing.seed = 2026;
-  // Direct inference path: charge + drain happen synchronously inside the
-  // request, so ledger expectations below are exact, not racy against a
-  // batcher flush thread.
-  config.service.coalesce_inference = false;
+  // The batcher's flush thread charges the ledger and reports the drained
+  // queue before it completes the request's future, so the ledger
+  // expectations below are exact, not racy against that thread.
   config.service.energy.power_cap_w = power_cap_w;
   config.service.energy.reject_factor = reject_factor;
   auto node = std::make_unique<core::EdgeNode>(std::move(config));

@@ -1,5 +1,6 @@
-// Tests for the failover client (Sec. IV-C high availability) and the
-// libei inference-session cache.
+// Tests for the libei inference-session cache: redeploy invalidation and
+// concurrent callers sharing one warm session.  Replica failover is tested
+// on fleet::Router in test_fleet.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,7 +8,6 @@
 
 #include "common/rng.h"
 #include "core/edge_node.h"
-#include "core/failover.h"
 #include "hwsim/device.h"
 #include "hwsim/package.h"
 #include "nn/zoo.h"
@@ -16,79 +16,6 @@ namespace openei::core {
 namespace {
 
 using common::Rng;
-
-std::unique_ptr<EdgeNode> make_replica(Rng& rng) {
-  auto node = std::make_unique<EdgeNode>(EdgeNodeConfig{
-      hwsim::raspberry_pi_4(), hwsim::openei_package(), 32});
-  Rng model_rng(1234);  // identical weights on every replica
-  node->deploy_model("safety", "detection",
-                     nn::zoo::make_mlp("det", 4, 2, {8}, model_rng), 0.9);
-  (void)rng;
-  return node;
-}
-
-TEST(FailoverTest, SurvivesPrimaryDeath) {
-  Rng rng(1);
-  auto primary = make_replica(rng);
-  auto backup = make_replica(rng);
-  auto p_port = primary->start_server(0);
-  auto b_port = backup->start_server(0);
-
-  FailoverClient client({p_port, b_port});
-  std::string target = "/ei_algorithms/safety/detection?input=[1,2,3,4]";
-
-  auto first = client.get(target);
-  EXPECT_EQ(first.status, 200);
-  EXPECT_EQ(client.active_replica(), 0U);
-  EXPECT_EQ(client.failover_count(), 0U);
-
-  // Primary dies; the same call keeps working via the backup.
-  primary->stop_server();
-  auto after = client.get(target);
-  EXPECT_EQ(after.status, 200);
-  EXPECT_EQ(client.active_replica(), 1U);
-  EXPECT_EQ(client.failover_count(), 1U);
-
-  // Identical weights -> identical answer across the failover.
-  EXPECT_EQ(common::Json::parse(first.body).at("predictions"),
-            common::Json::parse(after.body).at("predictions"));
-  backup->stop_server();
-}
-
-TEST(FailoverTest, AllReplicasDownThrowsIoError) {
-  Rng rng(2);
-  std::uint16_t dead1;
-  std::uint16_t dead2;
-  {
-    auto a = make_replica(rng);
-    auto b = make_replica(rng);
-    dead1 = a->start_server(0);
-    dead2 = b->start_server(0);
-    a->stop_server();
-    b->stop_server();
-  }
-  FailoverClient client({dead1, dead2});
-  EXPECT_THROW(client.get("/ei_status"), openei::IoError);
-}
-
-TEST(FailoverTest, ApplicationErrorsDoNotTriggerFailover) {
-  Rng rng(3);
-  auto primary = make_replica(rng);
-  auto backup = make_replica(rng);
-  auto p_port = primary->start_server(0);
-  auto b_port = backup->start_server(0);
-  FailoverClient client({p_port, b_port});
-
-  auto missing = client.get("/ei_algorithms/ghost/none?input=[1]");
-  EXPECT_EQ(missing.status, 404);
-  EXPECT_EQ(client.failover_count(), 0U);  // 404 is not a transport failure
-  primary->stop_server();
-  backup->stop_server();
-}
-
-TEST(FailoverTest, NeedsAtLeastOneReplica) {
-  EXPECT_THROW(FailoverClient({}), openei::InvalidArgument);
-}
 
 TEST(SessionCacheTest, RepeatCallsReuseCacheAndRedeployInvalidates) {
   Rng rng(4);

@@ -1,8 +1,9 @@
 // Deterministic fault-matrix tests: every injected fault class exercised
-// against {HttpClient, ResilientClient, FailoverClient}, malformed-request
-// hardening (400-not-crash), deadline enforcement against a never-responding
-// socket, circuit-breaker state transitions, failback after replica
-// recovery, and graceful degradation of the cloud-edge path — the Sec. IV-C
+// against {HttpClient, ResilientClient}, malformed-request hardening
+// (400-not-crash), deadline enforcement against a never-responding socket,
+// circuit-breaker state transitions, and graceful degradation of the
+// cloud-edge path (replica failover and failback are tested on
+// fleet::Router in test_fleet.cpp) — the Sec. IV-C
 // "high availability ... failure avoidance" requirements as executable
 // specifications.
 #include <gtest/gtest.h>
@@ -16,7 +17,6 @@
 #include "common/json.h"
 #include "common/rng.h"
 #include "core/edge_node.h"
-#include "core/failover.h"
 #include "hwsim/device.h"
 #include "hwsim/network.h"
 #include "hwsim/package.h"
@@ -548,110 +548,6 @@ TEST(NetworkLinkLossTest, LossInflatesTimeAndEnergy) {
 
 }  // namespace
 }  // namespace openei::net
-
-namespace openei::core {
-namespace {
-
-using common::Rng;
-
-std::unique_ptr<EdgeNode> make_replica() {
-  auto node = std::make_unique<EdgeNode>(EdgeNodeConfig{
-      hwsim::raspberry_pi_4(), hwsim::openei_package(), 32});
-  Rng model_rng(4321);  // identical weights on every replica
-  node->deploy_model("safety", "detection",
-                     nn::zoo::make_mlp("det", 4, 2, {8}, model_rng), 0.9);
-  return node;
-}
-
-FailoverOptions fast_failover_options() {
-  FailoverOptions options;
-  options.client.deadline_s = 1.0;
-  options.client.retry.max_attempts = 1;
-  options.client.retry.initial_backoff_s = 0.001;
-  options.probe_every = 2;
-  return options;
-}
-
-// Acceptance scenario: primary down for a window -> backup serves; primary
-// recovers -> the client fails back within N probe intervals; every request
-// succeeds; the whole story is visible via /ei_status counters.
-TEST(FailbackTest, ReturnsToPreferredReplicaAfterRecovery) {
-  auto primary = make_replica();
-  auto backup = make_replica();
-  auto p_port = primary->start_server(0);
-  auto b_port = backup->start_server(0);
-
-  // The consumer edge node owns the failover client; its resilience sink is
-  // what /ei_status reports.
-  auto consumer = make_replica();
-  FailoverOptions options = fast_failover_options();
-  options.client.metrics = consumer->resilience_metrics();
-  FailoverClient client({p_port, b_port}, options);
-  std::string target = "/ei_algorithms/safety/detection?input=[1,2,3,4]";
-
-  auto first = client.get(target);
-  EXPECT_EQ(first.status, 200);
-  EXPECT_EQ(client.active_replica(), 0U);
-
-  // Primary goes down for a window: the same call keeps working via backup.
-  primary->stop_server();
-  std::size_t failed_window_requests = 6;
-  for (std::size_t i = 0; i < failed_window_requests; ++i) {
-    EXPECT_EQ(client.get(target).status, 200);
-  }
-  EXPECT_EQ(client.active_replica(), 1U);
-  EXPECT_EQ(client.failover_count(), 1U);
-  EXPECT_EQ(client.failback_count(), 0U);
-
-  // Primary recovers on the same port; within probe_every requests the
-  // client health-probes it and fails back.
-  primary->start_server(p_port);
-  std::size_t requests_until_failback = 0;
-  while (client.active_replica() != 0) {
-    ASSERT_LT(requests_until_failback, 2 * options.probe_every)
-        << "failback did not happen within N probe intervals";
-    EXPECT_EQ(client.get(target).status, 200);
-    ++requests_until_failback;
-  }
-  EXPECT_EQ(client.failback_count(), 1U);
-  // Identical weights -> identical predictions on both sides of the story.
-  EXPECT_EQ(common::Json::parse(first.body).at("predictions"),
-            common::Json::parse(client.get(target).body).at("predictions"));
-
-  // The consumer's /ei_status exposes the transport counters.
-  auto status = consumer->call("GET", "/ei_status");
-  ASSERT_EQ(status.status, 200);
-  common::Json resilience =
-      common::Json::parse(status.body).at("resilience");
-  EXPECT_GE(resilience.at("failovers").as_number(), 1.0);
-  EXPECT_GE(resilience.at("failbacks").as_number(), 1.0);
-  EXPECT_GE(resilience.at("transport_errors").as_number(), 1.0);
-  EXPECT_GE(resilience.at("attempts").as_number(), 8.0);
-
-  primary->stop_server();
-  backup->stop_server();
-}
-
-TEST(FailbackTest, KeepsLegacyFailoverSemantics) {
-  // The rewrite preserves the original contract: application errors do not
-  // failover, all-dead throws IoError, empty replica set is rejected.
-  auto primary = make_replica();
-  auto backup = make_replica();
-  auto p_port = primary->start_server(0);
-  auto b_port = backup->start_server(0);
-  FailoverClient client({p_port, b_port}, fast_failover_options());
-
-  EXPECT_EQ(client.get("/ei_algorithms/ghost/none?input=[1]").status, 404);
-  EXPECT_EQ(client.failover_count(), 0U);
-
-  primary->stop_server();
-  backup->stop_server();
-  EXPECT_THROW(client.get("/ei_status"), openei::IoError);
-  EXPECT_THROW(FailoverClient({}), openei::InvalidArgument);
-}
-
-}  // namespace
-}  // namespace openei::core
 
 namespace openei::collab {
 namespace {

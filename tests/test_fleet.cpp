@@ -428,6 +428,88 @@ TEST(FleetTest, FaultInjectedOutageFailsOverWithZeroFailedRequests) {
       fleet.router().meter().counter("ei_fleet_failovers_total").value(), 1.0);
 }
 
+TEST(FleetTest, EveryNodeDownAnswers503UntilAProbeFindsOneBack) {
+  Fleet fleet(small_fleet(2, 2));
+  fleet.deploy("safety", "detection", make_constant_model("det", 1), 0.9);
+  fleet.kill(0);
+  fleet.kill(1);
+
+  const std::string target =
+      std::string("/ei_algorithms/safety/detection") + kInput;
+  // The first request tries both owners and marks them down; the second
+  // finds an empty ring.  Neither throws: the caller gets a 503 body.
+  for (int i = 0; i < 2; ++i) {
+    net::HttpResponse response;
+    ASSERT_NO_THROW(response = fleet.router().route("GET", target));
+    EXPECT_EQ(response.status, 503) << "request " << i;
+    EXPECT_EQ(Json::parse(response.body).at("error").as_string(),
+              "fleet_unavailable");
+  }
+  EXPECT_TRUE(fleet.router().up_nodes().empty());
+
+  fleet.revive(0);
+  fleet.revive(1);
+  EXPECT_EQ(fleet.router().probe_down_nodes(), 2U);
+  net::HttpResponse recovered = fleet.router().route("GET", target);
+  ASSERT_EQ(recovered.status, 200);
+  EXPECT_EQ(predictions_of(recovered), (std::vector<std::size_t>{1, 1}));
+  EXPECT_EQ(fleet.router().resilience()->failbacks.load(), 2U);
+
+  // A router with no members at all is refused up front.
+  EXPECT_THROW(Router(std::vector<NodeEndpoint>{}), InvalidArgument);
+}
+
+TEST(FleetTest, ApplicationErrorsMarkNoNodeDownAndCountNoFailover) {
+  Fleet fleet(small_fleet(2, 2));
+  fleet.deploy("safety", "detection", make_constant_model("det", 0), 0.9);
+  // Every owner of "ghost/none" is healthy and answers 404: an application
+  // error that would repeat on any replica, not a transport failure.
+  net::HttpResponse missing =
+      fleet.router().route("GET", "/ei_algorithms/ghost/none?input=[[1]]");
+  EXPECT_EQ(missing.status, 404);
+  EXPECT_EQ(fleet.router().up_nodes().size(), 2U);
+  EXPECT_EQ(
+      fleet.router().meter().counter("ei_fleet_failovers_total").value(), 0.0);
+  EXPECT_EQ(
+      fleet.router().meter().counter("ei_fleet_node_down_total").value(), 0.0);
+  EXPECT_EQ(fleet.router().resilience()->failovers.load(), 0U);
+}
+
+TEST(FleetTest, PredictionsAreIdenticalBeforeAndAfterThePrimaryIsKilled) {
+  Fleet fleet(small_fleet(2, 2));
+  // Trained-looking weights, not a constant model, so identical answers
+  // mean both replicas really hold the same parameters.
+  Rng rng(1234);
+  fleet.deploy("safety", "detection",
+               nn::zoo::make_mlp("det", kFeatures, kClasses, {16}, rng), 0.9);
+  std::vector<std::string> targets;
+  for (int r = 0; r < 4; ++r) {
+    std::string row = "[";
+    for (std::size_t f = 0; f < kFeatures; ++f) {
+      if (f > 0) row += ',';
+      row += std::to_string(static_cast<int>((r * 7 + f * 3) % 11) - 5);
+    }
+    targets.push_back("/ei_algorithms/safety/detection?input=[" + row + "]]");
+  }
+  std::vector<std::vector<std::size_t>> before;
+  for (const std::string& target : targets) {
+    net::HttpResponse response = fleet.router().route("GET", target);
+    ASSERT_EQ(response.status, 200);
+    before.push_back(predictions_of(response));
+  }
+
+  std::vector<std::string> owners =
+      fleet.router().owners_of("safety/detection");
+  fleet.kill(fleet.index_of(owners[0]));
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    net::HttpResponse response = fleet.router().route("GET", targets[i]);
+    ASSERT_EQ(response.status, 200);
+    EXPECT_EQ(predictions_of(response), before[i]) << targets[i];
+  }
+  EXPECT_FALSE(fleet.router().node_up(owners[0]));
+  EXPECT_EQ(fleet.router().resilience()->failovers.load(), 1U);
+}
+
 // --- Observability surfaces ------------------------------------------------
 
 TEST(FleetTest, FrontDoorServesFleetStatusAndMetrics) {

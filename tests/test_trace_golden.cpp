@@ -25,10 +25,9 @@ namespace {
 
 using common::Json;
 
-std::unique_ptr<core::EdgeNode> make_traced_node(bool coalesce) {
+std::unique_ptr<core::EdgeNode> make_traced_node() {
   core::EdgeNodeConfig config{hwsim::raspberry_pi_4(),
                               hwsim::openei_package(), 256, {}};
-  config.service.coalesce_inference = coalesce;
   config.service.tracing.enabled = true;
   config.service.tracing.seed = 2026;
   config.service.tracing.ring_capacity = 32;
@@ -78,7 +77,7 @@ const Json& child_named(const Json& span, const std::string& name) {
 }
 
 TEST(TraceGolden, CoalescedRequestEmitsTheCanonicalSpanTree) {
-  auto node = make_traced_node(/*coalesce=*/true);
+  auto node = make_traced_node();
   Json trace = fetch_trace(*node);
 
   const Json& root = trace.at("root");
@@ -106,12 +105,11 @@ TEST(TraceGolden, CoalescedRequestEmitsTheCanonicalSpanTree) {
   EXPECT_EQ(parse.at("attributes").at("input_bytes").as_number(),
             8.0 * sizeof(float));
 
-  // ei.infer carries the simulated ALEM attribution and, when coalesced,
-  // exactly one ei.batch child stamped by the flush thread.
+  // ei.infer carries the simulated ALEM attribution and exactly one
+  // ei.batch child stamped by the flush thread.
   const Json& infer = child_named(root, "ei.infer");
   const Json& infer_attrs = infer.at("attributes");
   EXPECT_EQ(infer_attrs.at("model").as_string(), "detector");
-  EXPECT_EQ(infer_attrs.at("coalesced").as_number(), 1.0);
   EXPECT_GT(infer_attrs.at("sim_latency_us").as_number(), 0.0);
   EXPECT_GT(infer_attrs.at("sim_energy_mj").as_number(), 0.0);
   EXPECT_GT(infer_attrs.at("sim_memory_bytes").as_number(), 0.0);
@@ -140,31 +138,14 @@ TEST(TraceGolden, CoalescedRequestEmitsTheCanonicalSpanTree) {
   EXPECT_GE(root.at("duration_us").as_number(), stage_total * 0.99);
 }
 
-TEST(TraceGolden, DirectPathHasNoBatchSpanAndArenaForwardIsZeroAlloc) {
-  auto node = make_traced_node(/*coalesce=*/false);
-  Json trace = fetch_trace(*node);
-  const Json& root = trace.at("root");
-  EXPECT_EQ(child_names(root),
-            (std::vector<std::string>{"ei.select", "ei.parse", "ei.infer",
-                                      "ei.serialize"}));
-  EXPECT_EQ(trace.at("span_count").as_number(), 5.0);  // no ei.batch
-  const Json& infer = child_named(root, "ei.infer");
-  EXPECT_TRUE(child_names(infer).empty());
-  EXPECT_EQ(infer.at("attributes").at("coalesced").as_number(), 0.0);
-  // The direct path wraps the forward in an AllocationTrackingScope; the
-  // forward runs on the zero-alloc arena, so the peak on ei.infer is zero.
-  EXPECT_EQ(infer.at("attributes").at("peak_tensor_bytes").as_number(), 0.0);
-}
-
 TEST(TraceGolden, EnergyDegradedRequestPinsTheCanonicalSpanTree) {
   // A power cap below the idle draw forces every request over budget; the
   // wide reject factor keeps it serviceable, so the request must degrade:
   // the select stage flips to min-energy and rides the cheaper variant.
-  // The span tree shape is identical to a healthy direct request — only
-  // the select attribution and the response flags change.
+  // The span tree shape is identical to a healthy request — only the
+  // select attribution and the response flags change.
   core::EdgeNodeConfig config{hwsim::raspberry_pi_4(),
                               hwsim::openei_package(), 256, {}};
-  config.service.coalesce_inference = false;
   config.service.tracing.enabled = true;
   config.service.tracing.seed = 2026;
   config.service.tracing.ring_capacity = 32;
@@ -196,7 +177,7 @@ TEST(TraceGolden, EnergyDegradedRequestPinsTheCanonicalSpanTree) {
   EXPECT_EQ(child_names(root),
             (std::vector<std::string>{"ei.select", "ei.parse", "ei.infer",
                                       "ei.serialize"}));
-  EXPECT_EQ(trace.at("span_count").as_number(), 5.0);  // direct: no ei.batch
+  EXPECT_EQ(trace.at("span_count").as_number(), 6.0);  // incl. ei.batch
 
   const Json& select = child_named(root, "ei.select");
   const Json& select_attrs = select.at("attributes");
@@ -209,15 +190,15 @@ TEST(TraceGolden, EnergyDegradedRequestPinsTheCanonicalSpanTree) {
   // account actually accrued for this request), and must reconcile with the
   // response's ledger_energy_j exactly.
   const Json& infer = child_named(root, "ei.infer");
-  EXPECT_TRUE(child_names(infer).empty());
+  EXPECT_EQ(child_names(infer), (std::vector<std::string>{"ei.batch"}));
   EXPECT_EQ(infer.at("attributes").at("model").as_string(), "detector-lite");
   EXPECT_DOUBLE_EQ(infer.at("attributes").at("sim_energy_mj").as_number(),
                    body.at("ledger_energy_j").as_number() * 1e3);
 }
 
 TEST(TraceGolden, TraceIdsAreDeterministicAcrossIdenticalNodes) {
-  auto a = make_traced_node(true);
-  auto b = make_traced_node(true);
+  auto a = make_traced_node();
+  auto b = make_traced_node();
   Json trace_a = fetch_trace(*a);
   Json trace_b = fetch_trace(*b);
   // Same seed, same request sequence -> bit-identical ids (no wall clock in
@@ -229,7 +210,7 @@ TEST(TraceGolden, TraceIdsAreDeterministicAcrossIdenticalNodes) {
 }
 
 TEST(TraceGolden, MetricsAndStatusExposeTheRequest) {
-  auto node = make_traced_node(true);
+  auto node = make_traced_node();
   fetch_trace(*node);
 
   auto metrics = node->call("GET", "/ei_metrics");
@@ -261,7 +242,7 @@ TEST(TraceGolden, MetricsAndStatusExposeTheRequest) {
 }
 
 TEST(TraceGolden, TraceListingAndErrorPaths) {
-  auto node = make_traced_node(true);
+  auto node = make_traced_node();
   fetch_trace(*node);
   fetch_trace(*node);
 
@@ -299,7 +280,7 @@ TEST(TraceGolden, TraceListingAndErrorPaths) {
 // ---------------------------------------------------------------------------
 
 TEST(TraceGolden, StreamedFrameEmitsCanonicalSpanTree) {
-  auto node = make_traced_node(/*coalesce=*/true);
+  auto node = make_traced_node();
   auto opened = node->call(
       "POST", "/ei_stream?scenario=safety&algorithm=detection&policy=block");
   ASSERT_EQ(opened.status, 201);
