@@ -7,6 +7,7 @@
 
 #include "common/error.h"
 #include "runtime/energy_governor.h"
+#include "tensor/tensor.h"
 
 namespace openei::stream {
 
@@ -103,9 +104,12 @@ void StreamSession::worker_loop() {
         1e-9;
     std::int64_t infer_start_ns = queue_.options().now();
     runtime::InferenceResult result;
+    tensor::AllocationStats allocation;
     try {
       runtime::SessionCache::Lease lease = cache_.acquire(model_);
+      tensor::AllocationTrackingScope scope;
       result = lease.session->run(frame->rows);
+      allocation = scope.stats();
     } catch (const std::exception& error) {
       // Model undeployed mid-stream or admission refused: the frame is
       // dropped after the fact, the stream keeps going.
@@ -142,6 +146,8 @@ void StreamSession::worker_loop() {
       infer.set_attribute(
           "sim_memory_bytes",
           static_cast<double>(result.per_sample.memory_bytes));
+      infer.set_attribute("peak_tensor_bytes",
+                          static_cast<double>(allocation.peak_live_bytes));
     }
     infer.finish();
 

@@ -428,54 +428,13 @@ TEST(FleetTest, FaultInjectedOutageFailsOverWithZeroFailedRequests) {
       fleet.router().meter().counter("ei_fleet_failovers_total").value(), 1.0);
 }
 
-TEST(FleetTest, EveryNodeDownAnswers503UntilAProbeFindsOneBack) {
-  Fleet fleet(small_fleet(2, 2));
-  fleet.deploy("safety", "detection", make_constant_model("det", 1), 0.9);
-  fleet.kill(0);
-  fleet.kill(1);
+// --- The replica-failover client contract ---------------------------------
+//
+// fleet::Router is the only failover client.  These suites pin the contract
+// callers relied on from the standalone client it replaced, on a 2-node fleet
+// where both nodes own the key: the second is the first's only backup.
 
-  const std::string target =
-      std::string("/ei_algorithms/safety/detection") + kInput;
-  // The first request tries both owners and marks them down; the second
-  // finds an empty ring.  Neither throws: the caller gets a 503 body.
-  for (int i = 0; i < 2; ++i) {
-    net::HttpResponse response;
-    ASSERT_NO_THROW(response = fleet.router().route("GET", target));
-    EXPECT_EQ(response.status, 503) << "request " << i;
-    EXPECT_EQ(Json::parse(response.body).at("error").as_string(),
-              "fleet_unavailable");
-  }
-  EXPECT_TRUE(fleet.router().up_nodes().empty());
-
-  fleet.revive(0);
-  fleet.revive(1);
-  EXPECT_EQ(fleet.router().probe_down_nodes(), 2U);
-  net::HttpResponse recovered = fleet.router().route("GET", target);
-  ASSERT_EQ(recovered.status, 200);
-  EXPECT_EQ(predictions_of(recovered), (std::vector<std::size_t>{1, 1}));
-  EXPECT_EQ(fleet.router().resilience()->failbacks.load(), 2U);
-
-  // A router with no members at all is refused up front.
-  EXPECT_THROW(Router(std::vector<NodeEndpoint>{}), InvalidArgument);
-}
-
-TEST(FleetTest, ApplicationErrorsMarkNoNodeDownAndCountNoFailover) {
-  Fleet fleet(small_fleet(2, 2));
-  fleet.deploy("safety", "detection", make_constant_model("det", 0), 0.9);
-  // Every owner of "ghost/none" is healthy and answers 404: an application
-  // error that would repeat on any replica, not a transport failure.
-  net::HttpResponse missing =
-      fleet.router().route("GET", "/ei_algorithms/ghost/none?input=[[1]]");
-  EXPECT_EQ(missing.status, 404);
-  EXPECT_EQ(fleet.router().up_nodes().size(), 2U);
-  EXPECT_EQ(
-      fleet.router().meter().counter("ei_fleet_failovers_total").value(), 0.0);
-  EXPECT_EQ(
-      fleet.router().meter().counter("ei_fleet_node_down_total").value(), 0.0);
-  EXPECT_EQ(fleet.router().resilience()->failovers.load(), 0U);
-}
-
-TEST(FleetTest, PredictionsAreIdenticalBeforeAndAfterThePrimaryIsKilled) {
+TEST(FailoverTest, SurvivesPrimaryDeath) {
   Fleet fleet(small_fleet(2, 2));
   // Trained-looking weights, not a constant model, so identical answers
   // mean both replicas really hold the same parameters.
@@ -508,6 +467,146 @@ TEST(FleetTest, PredictionsAreIdenticalBeforeAndAfterThePrimaryIsKilled) {
   }
   EXPECT_FALSE(fleet.router().node_up(owners[0]));
   EXPECT_EQ(fleet.router().resilience()->failovers.load(), 1U);
+}
+
+TEST(FailoverTest, AllReplicasDownThrowsIoError) {
+  Fleet fleet(small_fleet(2, 2));
+  fleet.deploy("safety", "detection", make_constant_model("det", 1), 0.9);
+  fleet.kill(0);
+  fleet.kill(1);
+  // Every replica now fails in transport: a direct call throws IoError.
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    net::HttpClient direct(fleet.port(i));
+    EXPECT_THROW(direct.get("/ei_status"), IoError) << fleet.node_id(i);
+  }
+
+  const std::string target =
+      std::string("/ei_algorithms/safety/detection") + kInput;
+  // The router absorbs those IoErrors.  The first request tries both owners
+  // and marks them down; the second finds an empty ring.  Neither throws:
+  // the caller gets a 503 body.
+  for (int i = 0; i < 2; ++i) {
+    net::HttpResponse response;
+    ASSERT_NO_THROW(response = fleet.router().route("GET", target));
+    EXPECT_EQ(response.status, 503) << "request " << i;
+    EXPECT_EQ(Json::parse(response.body).at("error").as_string(),
+              "fleet_unavailable");
+  }
+  EXPECT_TRUE(fleet.router().up_nodes().empty());
+
+  fleet.revive(0);
+  fleet.revive(1);
+  EXPECT_EQ(fleet.router().probe_down_nodes(), 2U);
+  net::HttpResponse recovered = fleet.router().route("GET", target);
+  ASSERT_EQ(recovered.status, 200);
+  EXPECT_EQ(predictions_of(recovered), (std::vector<std::size_t>{1, 1}));
+  EXPECT_EQ(fleet.router().resilience()->failbacks.load(), 2U);
+}
+
+TEST(FailoverTest, ApplicationErrorsDoNotTriggerFailover) {
+  Fleet fleet(small_fleet(2, 2));
+  fleet.deploy("safety", "detection", make_constant_model("det", 0), 0.9);
+  // Every owner of "ghost/none" is healthy and answers 404: an application
+  // error that would repeat on any replica, not a transport failure.
+  net::HttpResponse missing =
+      fleet.router().route("GET", "/ei_algorithms/ghost/none?input=[[1]]");
+  EXPECT_EQ(missing.status, 404);
+  EXPECT_EQ(fleet.router().up_nodes().size(), 2U);
+  EXPECT_EQ(
+      fleet.router().meter().counter("ei_fleet_failovers_total").value(), 0.0);
+  EXPECT_EQ(
+      fleet.router().meter().counter("ei_fleet_node_down_total").value(), 0.0);
+  EXPECT_EQ(fleet.router().resilience()->failovers.load(), 0U);
+}
+
+TEST(FailoverTest, NeedsAtLeastOneReplica) {
+  EXPECT_THROW(Router(std::vector<NodeEndpoint>{}), InvalidArgument);
+}
+
+// Acceptance scenario: the preferred replica is down for a window, the
+// backup serves every request, and once the preferred replica is back the
+// router fails back to it within two probe intervals of routed traffic.
+// The whole story is visible in the fleet status' resilience counters.
+TEST(FailbackTest, ReturnsToPreferredReplicaAfterRecovery) {
+  FleetOptions options = small_fleet(2, 2);
+  options.router.probe_every = 2;
+  Fleet fleet(options);
+  fleet.deploy("safety", "detection", make_constant_model("det", 2), 0.9);
+  std::vector<std::string> owners =
+      fleet.router().owners_of("safety/detection");
+  ASSERT_EQ(owners.size(), 2U);
+  const std::string& preferred = owners[0];
+  auto served_by_preferred = [&] {
+    return fleet.router()
+        .meter()
+        .counter("ei_fleet_forwards_total",
+                 {{"node", preferred}, {"outcome", "ok"}})
+        .value();
+  };
+
+  const std::string target =
+      std::string("/ei_algorithms/safety/detection") + kInput;
+  net::HttpResponse first = fleet.router().route("GET", target);
+  ASSERT_EQ(first.status, 200);
+  EXPECT_EQ(served_by_preferred(), 1.0);
+
+  // The preferred replica goes down for a window: the backup serves.
+  fleet.kill(fleet.index_of(preferred));
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(fleet.router().route("GET", target).status, 200) << i;
+  }
+  EXPECT_FALSE(fleet.router().node_up(preferred));
+  EXPECT_EQ(served_by_preferred(), 1.0);
+  EXPECT_EQ(fleet.router().resilience()->failovers.load(), 1U);
+  EXPECT_EQ(fleet.router().resilience()->failbacks.load(), 0U);
+
+  // It recovers on the same port; routed traffic alone probes it back.
+  fleet.revive(fleet.index_of(preferred));
+  std::size_t requests_until_failback = 0;
+  while (!fleet.router().node_up(preferred)) {
+    ASSERT_LT(requests_until_failback, 2 * options.router.probe_every)
+        << "failback did not happen within two probe intervals";
+    EXPECT_EQ(fleet.router().route("GET", target).status, 200);
+    ++requests_until_failback;
+  }
+  EXPECT_EQ(fleet.router().resilience()->failbacks.load(), 1U);
+  EXPECT_EQ(fleet.router().owners_of("safety/detection"), owners);
+
+  // The next request goes to the preferred replica again, with the same
+  // answer as before the outage.
+  double before_failback = served_by_preferred();
+  net::HttpResponse after = fleet.router().route("GET", target);
+  ASSERT_EQ(after.status, 200);
+  EXPECT_EQ(served_by_preferred(), before_failback + 1.0);
+  EXPECT_EQ(predictions_of(after), predictions_of(first));
+
+  Json resilience = fleet.router().fleet_status().at("resilience");
+  EXPECT_EQ(resilience.at("failovers").as_number(), 1.0);
+  EXPECT_EQ(resilience.at("failbacks").as_number(), 1.0);
+  EXPECT_GE(resilience.at("transport_errors").as_number(), 1.0);
+  EXPECT_GE(resilience.at("attempts").as_number(), 8.0);
+}
+
+TEST(FailbackTest, KeepsLegacyFailoverSemantics) {
+  // The contract callers relied on before the router replaced the
+  // standalone failover client: application errors do not fail over, an
+  // empty replica set is rejected, and every replica dead is reported to
+  // the caller.  The one deliberate change: all-dead is a 503 answer now,
+  // not a thrown IoError.
+  Fleet fleet(small_fleet(2, 2));
+  fleet.deploy("safety", "detection", make_constant_model("det", 0), 0.9);
+
+  EXPECT_EQ(
+      fleet.router().route("GET", "/ei_algorithms/ghost/none?input=[1]").status,
+      404);
+  EXPECT_EQ(fleet.router().resilience()->failovers.load(), 0U);
+
+  fleet.kill(0);
+  fleet.kill(1);
+  net::HttpResponse dead;
+  ASSERT_NO_THROW(dead = fleet.router().route("GET", "/ei_status"));
+  EXPECT_EQ(dead.status, 503);
+  EXPECT_THROW(Router(std::vector<NodeEndpoint>{}), InvalidArgument);
 }
 
 // --- Observability surfaces ------------------------------------------------

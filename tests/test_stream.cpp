@@ -17,12 +17,16 @@
 #include "common/json.h"
 #include "common/rng.h"
 #include "core/edge_node.h"
+#include "data/metrics.h"
 #include "data/synthetic.h"
 #include "hwsim/cost_model.h"
 #include "hwsim/device.h"
 #include "hwsim/package.h"
 #include "net/http.h"
+#include "nn/train.h"
 #include "nn/zoo.h"
+#include "runtime/inference.h"
+#include "runtime/session_cache.h"
 #include "stream/frame_queue.h"
 #include "stream/stream_manager.h"
 #include "stream/stream_session.h"
@@ -489,6 +493,113 @@ TEST(StreamSessionTest, CloseMidHammerDrainsCleanly) {
   EXPECT_EQ(stats.queue.depth, 0U);  // the worker drained before close returned
   EXPECT_EQ(stats.inferred, stats.queue.delivered);
   session.reset();  // double-shutdown: dtor close after explicit close
+}
+
+// ---------------------------------------------------------------------------
+// The streaming-pipeline contract: exactly-once in-order delivery, answers
+// identical to calling the session directly, and malformed payloads refused
+// before they reach the queue.
+// ---------------------------------------------------------------------------
+
+TEST(PipelineTest, DrainsExactlyOnceInOrder) {
+  core::EdgeNode node(base_config());
+  node.deploy_model("safety", "detection", make_constant_model("det", 1), 0.9);
+  StreamSession::Options options;
+  options.queue.policy = AdmitPolicy::kBlock;
+  options.queue.capacity = 32;
+  StreamSession session("p1", "safety", "detection", "det",
+                        node.service().lifecycle(), options);
+  constexpr std::size_t kFrames = 20;
+  for (std::size_t i = 0; i < kFrames / 2; ++i) {
+    EXPECT_EQ(session.submit(sample_frame()).outcome, PushOutcome::kAdmitted);
+  }
+  std::vector<DeliveredResult> first = poll_until(session, 1);
+  EXPECT_GT(first.size(), 0U);
+  for (std::size_t i = kFrames / 2; i < kFrames; ++i) {
+    EXPECT_EQ(session.submit(sample_frame()).outcome, PushOutcome::kAdmitted);
+  }
+  session.close();  // drains: every admitted frame is delivered first
+  std::vector<DeliveredResult> second = session.poll();
+  std::vector<DeliveredResult> third = session.poll();
+
+  EXPECT_EQ(first.size() + second.size(), kFrames);
+  EXPECT_TRUE(third.empty());  // nothing new
+  std::vector<std::uint64_t> seqs;
+  for (const DeliveredResult& result : first) seqs.push_back(result.seq);
+  for (const DeliveredResult& result : second) seqs.push_back(result.seq);
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    EXPECT_EQ(seqs[i], i + 1);  // each frame once, in admission order
+  }
+  SessionStats stats = session.stats();
+  EXPECT_EQ(stats.inferred, kFrames);
+  EXPECT_EQ(stats.queue.delivered, kFrames);
+}
+
+TEST(PipelineTest, PredictionsMatchDirectInference) {
+  Rng rng(1);
+  data::Dataset dataset = data::make_blobs(300, kFeatures, kClasses, rng);
+  auto split = data::train_test_split(dataset, 0.8, rng);
+  const data::Dataset& test = split.second;
+  nn::Model model = nn::zoo::make_mlp("streamer", kFeatures, kClasses, {16}, rng);
+  nn::TrainOptions train;
+  train.epochs = 15;
+  train.sgd.learning_rate = 0.05F;
+  train.sgd.momentum = 0.9F;
+  nn::fit(model, split.first, train);
+
+  core::EdgeNode node(base_config());
+  node.deploy_model("safety", "detection", std::move(model), 0.9);
+  StreamSession::Options options;
+  options.queue.policy = AdmitPolicy::kBlock;
+  options.queue.capacity = test.size();
+  StreamSession session("p2", "safety", "detection", "streamer",
+                        node.service().lifecycle(), options);
+  for (std::size_t i = 0; i < test.size(); ++i) {
+    nn::Tensor frame(tensor::Shape{kFeatures});
+    for (std::size_t f = 0; f < kFeatures; ++f) {
+      frame.data()[f] = test.features.at2(i, f);
+    }
+    ASSERT_EQ(session.submit(std::move(frame)).outcome, PushOutcome::kAdmitted);
+  }
+  session.close();
+  std::vector<DeliveredResult> streamed = session.poll();
+  ASSERT_EQ(streamed.size(), test.size());
+
+  // The same rows through the cached session, called directly.
+  runtime::SessionCache::Lease lease =
+      node.service().lifecycle().acquire("streamer");
+  std::vector<std::size_t> predictions;
+  for (std::size_t i = 0; i < test.size(); ++i) {
+    std::vector<float> row(kFeatures);
+    for (std::size_t f = 0; f < kFeatures; ++f) {
+      row[f] = test.features.at2(i, f);
+    }
+    std::size_t direct = lease.session->run_rows(row.data(), 1).predictions[0];
+    EXPECT_EQ(streamed[i].prediction, direct) << "frame " << i;
+    predictions.push_back(streamed[i].prediction);
+  }
+  EXPECT_GT(data::accuracy(predictions, test.labels), 0.85);
+}
+
+TEST(PipelineTest, MalformedPayloadThrows) {
+  core::EdgeNode node(base_config());
+  node.deploy_model("safety", "detection", make_constant_model("det", 0), 0.9);
+  auto opened = node.call(
+      "POST", "/ei_stream?scenario=safety&algorithm=detection&policy=block");
+  ASSERT_EQ(opened.status, 201);
+  std::string id = Json::parse(opened.body).at("stream").as_string();
+
+  // A width-2 row for a width-8 model: the decoder the frames endpoint runs
+  // throws, so the request is refused before any frame reaches the queue.
+  EXPECT_THROW(runtime::rows_to_batch(Json::parse("[1, 2]"),
+                                      tensor::Shape{kFeatures}),
+               ParseError);
+  EXPECT_EQ(node.call("POST", "/ei_stream/" + id + "/frames", "[1, 2]").status,
+            400);
+  Json status = Json::parse(node.call("GET", "/ei_stream/" + id).body);
+  EXPECT_EQ(status.at("queue").at("produced").as_number(), 0.0);
+  EXPECT_EQ(status.at("inferred").as_number(), 0.0);
+  node.call("DELETE", "/ei_stream/" + id);
 }
 
 // ---------------------------------------------------------------------------

@@ -58,6 +58,42 @@ Json fetch_trace(core::EdgeNode& node) {
   return trace;
 }
 
+/// Opens a block-policy stream, submits one frame, and returns the stream
+/// id and the frame's committed trace.
+struct StreamTrace {
+  std::string stream_id;
+  Json trace;
+};
+
+StreamTrace fetch_stream_trace(core::EdgeNode& node) {
+  StreamTrace out;
+  auto opened = node.call(
+      "POST", "/ei_stream?scenario=safety&algorithm=detection&policy=block");
+  EXPECT_EQ(opened.status, 201);
+  out.stream_id = Json::parse(opened.body).at("stream").as_string();
+
+  auto submitted = node.call("POST", "/ei_stream/" + out.stream_id + "/frames",
+                             "[[1,2,3,4,5,6,7,8]]");
+  EXPECT_EQ(submitted.status, 200);
+  Json verdicts = Json::parse(submitted.body);
+  EXPECT_EQ(verdicts.at("accepted").as_number(), 1.0);
+  std::string trace_id =
+      verdicts.at("frames").as_array()[0].at("trace_id").as_string();
+  EXPECT_FALSE(trace_id.empty());
+
+  // The frame's trace finishes when the worker delivers it — poll until the
+  // tracer has committed it.
+  net::HttpResponse traced;
+  for (int attempt = 0; attempt < 2000; ++attempt) {
+    traced = node.call("GET", "/ei_trace/" + trace_id);
+    if (traced.status == 200) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(traced.status, 200);
+  out.trace = Json::parse(traced.body);
+  return out;
+}
+
 std::vector<std::string> child_names(const Json& span) {
   std::vector<std::string> names;
   for (const Json& child : span.at("children").as_array()) {
@@ -136,6 +172,26 @@ TEST(TraceGolden, CoalescedRequestEmitsTheCanonicalSpanTree) {
     stage_total += d;
   }
   EXPECT_GE(root.at("duration_us").as_number(), stage_total * 0.99);
+}
+
+TEST(TraceGolden, DirectPathHasNoBatchSpanAndArenaForwardIsZeroAlloc) {
+  // Every /ei_algorithms request rides the micro-batcher; the one path that
+  // calls the inference session directly is a streamed frame (the stream
+  // worker runs the cached session itself).  Its tree has no ei.batch span,
+  // and its forward runs on the zero-alloc arena, so the tensor peak the
+  // worker stamps on stream.infer is zero.
+  auto node = make_traced_node();
+  StreamTrace streamed = fetch_stream_trace(*node);
+  ASSERT_FALSE(::testing::Test::HasFailure());
+  const Json& root = streamed.trace.at("root");
+  EXPECT_EQ(child_names(root),
+            (std::vector<std::string>{"stream.enqueue", "stream.queue_wait",
+                                      "stream.infer", "stream.deliver"}));
+  EXPECT_EQ(streamed.trace.at("span_count").as_number(), 5.0);  // no ei.batch
+  const Json& infer = child_named(root, "stream.infer");
+  EXPECT_TRUE(child_names(infer).empty());
+  EXPECT_EQ(infer.at("attributes").at("peak_tensor_bytes").as_number(), 0.0);
+  node->call("DELETE", "/ei_stream/" + streamed.stream_id);
 }
 
 TEST(TraceGolden, EnergyDegradedRequestPinsTheCanonicalSpanTree) {
@@ -281,30 +337,10 @@ TEST(TraceGolden, TraceListingAndErrorPaths) {
 
 TEST(TraceGolden, StreamedFrameEmitsCanonicalSpanTree) {
   auto node = make_traced_node();
-  auto opened = node->call(
-      "POST", "/ei_stream?scenario=safety&algorithm=detection&policy=block");
-  ASSERT_EQ(opened.status, 201);
-  std::string stream_id = Json::parse(opened.body).at("stream").as_string();
-
-  auto submitted = node->call("POST", "/ei_stream/" + stream_id + "/frames",
-                              "[[1,2,3,4,5,6,7,8]]");
-  ASSERT_EQ(submitted.status, 200);
-  Json verdicts = Json::parse(submitted.body);
-  ASSERT_EQ(verdicts.at("accepted").as_number(), 1.0);
-  std::string trace_id =
-      verdicts.at("frames").as_array()[0].at("trace_id").as_string();
-  ASSERT_FALSE(trace_id.empty());
-
-  // The frame's trace finishes when the worker delivers it — poll until the
-  // tracer has committed it.
-  net::HttpResponse traced;
-  for (int attempt = 0; attempt < 2000; ++attempt) {
-    traced = node->call("GET", "/ei_trace/" + trace_id);
-    if (traced.status == 200) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  ASSERT_EQ(traced.status, 200);
-  Json trace = Json::parse(traced.body);
+  StreamTrace streamed = fetch_stream_trace(*node);
+  ASSERT_FALSE(::testing::Test::HasFailure());
+  const std::string& stream_id = streamed.stream_id;
+  const Json& trace = streamed.trace;
 
   const Json& root = trace.at("root");
   EXPECT_EQ(root.at("name").as_string(), "stream.frame");
