@@ -188,18 +188,6 @@ std::unique_ptr<QuantizedConv2d> QuantizedConv2d::from_conv(const Conv2d& conv) 
       conv.bias());
 }
 
-tensor::QuantParams QuantizedConv2d::effective_input_params(
-    const float* input, std::size_t n) const {
-  if (input_params_) return *input_params_;
-  float min_v = 0.0F;
-  float max_v = 0.0F;
-  for (std::size_t i = 0; i < n; ++i) {
-    min_v = std::min(min_v, input[i]);
-    max_v = std::max(max_v, input[i]);
-  }
-  return tensor::QuantParams::choose(min_v, max_v);
-}
-
 void QuantizedConv2d::forward_into(const float* input, std::size_t n,
                                    std::size_t in_h, std::size_t in_w,
                                    std::int8_t* input_staging,
@@ -212,7 +200,9 @@ void QuantizedConv2d::forward_into(const float* input, std::size_t n,
   std::size_t gemm_rows = n * out_h * out_w;
   std::size_t input_elems = n * spec_.in_channels * in_h * in_w;
 
-  tensor::QuantParams params = effective_input_params(input, input_elems);
+  tensor::QuantParams params = input_params_
+                                   ? *input_params_
+                                   : tensor::QuantParams::fit(input, input_elems);
   // Quantize the NCHW input once (each pixel rounds once, not k^2 times),
   // then gather patches in int8 — transposed [patch, rows], so the gather is
   // contiguous memcpy/memset runs and the GEMM stages its lane tiles with
@@ -225,24 +215,8 @@ void QuantizedConv2d::forward_into(const float* input, std::size_t n,
   tensor::qgemm_t(patch_staging, gemm_rows, patch, params, packed_,
                   bias_.data().data(), fuse_relu, gemm_scratch);
 
-  // Scatter [N*oh*ow, oc] back to NCHW; images write disjoint slices (same
-  // decomposition as the float conv2d_im2col path).
-  std::size_t rows_per_image = out_h * out_w;
-  std::size_t image_out = spec_.out_channels * rows_per_image;
-  common::parallel_for(
-      0, n,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t b = lo; b < hi; ++b) {
-          const float* src = gemm_scratch + b * rows_per_image * spec_.out_channels;
-          float* dst = out + b * image_out;
-          for (std::size_t pix = 0; pix < rows_per_image; ++pix) {
-            for (std::size_t oc = 0; oc < spec_.out_channels; ++oc) {
-              dst[oc * rows_per_image + pix] = src[pix * spec_.out_channels + oc];
-            }
-          }
-        }
-      },
-      /*grain=*/1);
+  tensor::scatter_to_nchw(gemm_scratch, n, out_h * out_w, spec_.out_channels,
+                          out);
 }
 
 Tensor QuantizedConv2d::forward(const Tensor& input, bool training) {

@@ -89,9 +89,6 @@ class QuantizedConv2d : public Layer {
                     bool fuse_relu, float* out) const;
 
  private:
-  tensor::QuantParams effective_input_params(const float* input,
-                                             std::size_t n) const;
-
   tensor::Conv2dSpec spec_;
   tensor::PackedQuantMatrix packed_;  // [oc, ic*k*k] int8, row-major
   Tensor bias_;                       // [oc]

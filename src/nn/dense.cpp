@@ -100,24 +100,34 @@ std::unique_ptr<QuantizedDense> QuantizedDense::from_dense(const Dense& dense) {
 
 tensor::QuantParams QuantizedDense::effective_input_params(const float* input,
                                                            std::size_t n) const {
-  if (input_params_) return *input_params_;
-  float min_v = 0.0F;
-  float max_v = 0.0F;
-  for (std::size_t i = 0; i < n; ++i) {
-    min_v = std::min(min_v, input[i]);
-    max_v = std::max(max_v, input[i]);
-  }
-  return tensor::QuantParams::choose(min_v, max_v);
+  return input_params_ ? *input_params_ : tensor::QuantParams::fit(input, n);
 }
 
 void QuantizedDense::forward_into(const float* input, std::size_t rows,
                                   std::int8_t* staging, bool fuse_relu,
                                   float* out) const {
-  std::size_t n = rows * in_features();
-  tensor::QuantParams params = effective_input_params(input, n);
-  tensor::quantize_to_int8(input, n, params, staging);
-  tensor::qgemm(staging, rows, in_features(), params, packed_,
-                bias_.data().data(), fuse_relu, out);
+  const std::size_t in = in_features();
+  tensor::QuantParams params = effective_input_params(input, rows * in);
+  // Stage the activations in the GEMM's [in, rows] layout: sample i becomes
+  // column i.  A single sample is one contiguous column; a batch quantizes
+  // each sample in bulk through a small buffer and scatters it.
+  if (rows == 1) {
+    tensor::quantize_to_int8(input, in, params, staging);
+  } else {
+    constexpr std::size_t kChunk = 256;
+    std::int8_t q[kChunk];
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (std::size_t p0 = 0; p0 < in; p0 += kChunk) {
+        const std::size_t len = std::min(kChunk, in - p0);
+        tensor::quantize_to_int8(input + i * in + p0, len, params, q);
+        for (std::size_t p = 0; p < len; ++p) {
+          staging[(p0 + p) * rows + i] = q[p];
+        }
+      }
+    }
+  }
+  tensor::qgemm_t(staging, rows, in, params, packed_, bias_.data().data(),
+                  fuse_relu, out);
 }
 
 Tensor QuantizedDense::forward(const Tensor& input, bool training) {

@@ -93,21 +93,7 @@ std::size_t ForwardArena::plan_conv(const nn::Conv2d& conv,
     std::size_t gemm_rows = rows * oh * ow;
     tensor::gemm_packed(patches, gemm_rows, wp, cp->bias().data().data(),
                         fuse_relu, /*accumulate=*/false, gemm_out);
-    std::size_t rows_per_image = oh * ow;
-    common::parallel_for(
-        0, rows,
-        [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t b = lo; b < hi; ++b) {
-            const float* src = gemm_out + b * rows_per_image * oc;
-            float* dst = out + b * oc * rows_per_image;
-            for (std::size_t pix = 0; pix < rows_per_image; ++pix) {
-              for (std::size_t c = 0; c < oc; ++c) {
-                dst[c * rows_per_image + pix] = src[pix * oc + c];
-              }
-            }
-          }
-        },
-        /*grain=*/1);
+    tensor::scatter_to_nchw(gemm_out, rows, oh * ow, oc, out);
   });
   return out_buf;
 }

@@ -188,6 +188,24 @@ Tensor im2col(const Tensor& input, const Conv2dSpec& spec) {
   return out;
 }
 
+void scatter_to_nchw(const float* rows, std::size_t n, std::size_t pixels,
+                     std::size_t channels, float* out) {
+  common::parallel_for(
+      0, n,
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t b = lo; b < hi; ++b) {
+          const float* src = rows + b * pixels * channels;
+          float* dst = out + b * channels * pixels;
+          for (std::size_t pix = 0; pix < pixels; ++pix) {
+            for (std::size_t c = 0; c < channels; ++c) {
+              dst[c * pixels + pix] = src[pix * channels + c];
+            }
+          }
+        }
+      },
+      /*grain=*/1);
+}
+
 Tensor conv2d_im2col(const Tensor& input, const Tensor& weights, const Tensor& bias,
                      const Conv2dSpec& spec) {
   check_conv_inputs(input, weights, bias, spec, /*depthwise=*/false);
@@ -207,24 +225,9 @@ Tensor conv2d_im2col(const Tensor& input, const Tensor& weights, const Tensor& b
               bias.data().data(), /*fuse_relu=*/false, /*accumulate=*/false,
               result.data().data());
 
-  // Scatter [N*oh*ow, oc] back to NCHW; images write disjoint slices.
   Tensor out(Shape{n, spec.out_channels, out_h, out_w});
-  std::size_t rows_per_image = out_h * out_w;
-  common::parallel_for(
-      0, n,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t b = lo; b < hi; ++b) {
-          std::size_t row = b * rows_per_image;
-          for (std::size_t oh = 0; oh < out_h; ++oh) {
-            for (std::size_t ow = 0; ow < out_w; ++ow, ++row) {
-              for (std::size_t oc = 0; oc < spec.out_channels; ++oc) {
-                out.at4(b, oc, oh, ow) = result.at2(row, oc);
-              }
-            }
-          }
-        }
-      },
-      /*grain=*/1);
+  scatter_to_nchw(result.data().data(), n, out_h * out_w, spec.out_channels,
+                  out.data().data());
   return out;
 }
 

@@ -47,6 +47,13 @@ Tensor im2col(const Tensor& input, const Conv2dSpec& spec);
 void im2col_into(const float* input, std::size_t n, std::size_t in_h,
                  std::size_t in_w, const Conv2dSpec& spec, float* out);
 
+/// Scatters a conv GEMM result — [n*pixels, channels] row-major, one row per
+/// output pixel — into NCHW `out` ([n, channels, pixels]).  Images write
+/// disjoint slices in parallel.  The fp32 conv, the forward arena's conv
+/// step and the int8 conv all end with it.
+void scatter_to_nchw(const float* rows, std::size_t n, std::size_t pixels,
+                     std::size_t channels, float* out);
+
 /// Convolution via im2col + matmul; numerically equivalent to conv2d().
 Tensor conv2d_im2col(const Tensor& input, const Tensor& weights, const Tensor& bias,
                      const Conv2dSpec& spec);

@@ -23,8 +23,8 @@ constexpr std::size_t kNR = kPanelWidth;
 /// (same threshold as the blocked GEMM it replaces and the int8 engine).
 constexpr std::size_t kSerialMacs = 1ULL << 16;
 
-/// Test-only clamp on the dispatch level (INT_MAX = uncapped).
-std::atomic<int> g_fp32_cap{INT_MAX};
+/// Test-only clamp on both engines' dispatch levels (INT_MAX = uncapped).
+std::atomic<int> g_isa_cap{INT_MAX};
 
 }  // namespace
 
@@ -44,8 +44,7 @@ int fp32_isa_level_detected() {
 }
 
 int fp32_isa_level() {
-  return std::min(fp32_isa_level_detected(),
-                  g_fp32_cap.load(std::memory_order_relaxed));
+  return std::min(fp32_isa_level_detected(), detail::isa_cap());
 }
 
 const char* fp32_isa_name(int level) {
@@ -60,7 +59,8 @@ const char* fp32_isa_name(int level) {
 }
 
 namespace detail {
-int set_fp32_isa_cap(int cap) { return g_fp32_cap.exchange(cap); }
+int set_isa_cap(int cap) { return g_isa_cap.exchange(cap); }
+int isa_cap() { return g_isa_cap.load(std::memory_order_relaxed); }
 }  // namespace detail
 
 // ---------------------------------------------------------------------------

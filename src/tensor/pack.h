@@ -1,6 +1,6 @@
 // fp32 packed GEMM: kernel-shaped weight panels plus runtime-dispatched
 // register-tiled SIMD microkernels — the float twin of the int8 engine's
-// qgemm (tensor/quantize.h).
+// qgemm_t (tensor/quantize.h).
 //
 // B is packed into 16-float-wide column panels (one 512-bit vector, two
 // 256-bit vectors) in 64-byte-aligned storage; the microkernels stream one
@@ -84,10 +84,13 @@ const char* fp32_isa_name(int level);
 inline const char* fp32_isa_name() { return fp32_isa_name(fp32_isa_level()); }
 
 namespace detail {
-/// Test hook: clamps the fp32 dispatch level so the equivalence and
-/// thread-bit-identity suites can drive every kernel the host supports.
-/// Returns the previous cap; pass a large value to uncap.
-int set_fp32_isa_cap(int cap);
+/// Test hook: clamps the dispatch level of both engines — fp32_isa_level()
+/// here and int8_isa_level() (tensor/quantize.h) — so the equivalence and
+/// bit-identity suites can drive every kernel the host supports.  Returns
+/// the previous cap; pass a large value to uncap.
+int set_isa_cap(int cap);
+/// The cap in effect (INT_MAX when uncapped).
+int isa_cap();
 }  // namespace detail
 
 }  // namespace openei::tensor

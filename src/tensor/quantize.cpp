@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "common/parallel.h"
+#include "tensor/pack.h"
 
 namespace openei::tensor {
 
@@ -45,6 +46,16 @@ QuantParams QuantParams::choose(float min_v, float max_v) {
   return p;
 }
 
+QuantParams QuantParams::fit(const float* values, std::size_t n) {
+  float min_v = 0.0F;
+  float max_v = 0.0F;
+  for (std::size_t i = 0; i < n; ++i) {
+    min_v = std::min(min_v, values[i]);
+    max_v = std::max(max_v, values[i]);
+  }
+  return choose(min_v, max_v);
+}
+
 // ---------------------------------------------------------------------------
 // SIMD dispatch for the two hot loops (bulk quantization, int8 GEMM rows).
 //
@@ -67,11 +78,12 @@ QuantParams QuantParams::choose(float min_v, float max_v) {
 
 namespace {
 
-/// 0 = baseline, 1 = AVX2, 2 = AVX-512 (F+BW+VL), 3 = AVX-512 VNNI.
-/// Cached after first probe.
+/// 0 = baseline, 1 = AVX2, 2 = AVX-512 (F+BW+VL), 3 = AVX-512 VNNI: the
+/// probed level (cached after the first probe) clamped by the shared test
+/// cap, the way fp32_isa_level() reads it.
 int simd_level() {
 #if OPENEI_X86_SIMD_DISPATCH
-  static const int level = [] {
+  static const int detected = [] {
     if (__builtin_cpu_supports("avx512f") &&
         __builtin_cpu_supports("avx512bw") &&
         __builtin_cpu_supports("avx512vl")) {
@@ -79,7 +91,7 @@ int simd_level() {
     }
     return __builtin_cpu_supports("avx2") ? 1 : 0;
   }();
-  return level;
+  return std::min(detected, detail::isa_cap());
 #else
   return 0;
 #endif
@@ -293,8 +305,8 @@ Tensor PackedQuantMatrix::dequantize() const {
 namespace {
 
 /// Shared epilogue: dequantize the corrected int accumulation, add bias,
-/// clamp.  One function so the float-out and int8-out variants (and every
-/// caller) apply bit-identical float arithmetic.
+/// clamp.  One function so every GEMM path (and the test reference, which
+/// spells out the same expression) applies bit-identical float arithmetic.
 inline float requantize_epilogue(std::int64_t corrected, float combined_scale,
                                  const float* bias, std::size_t r,
                                  bool fuse_relu) {
@@ -651,17 +663,36 @@ void qgemm_rows(const std::int16_t* a16, const std::int8_t* w,
   qgemm_rows_body(a16, w, stride, chunk, nrows, acc);
 }
 
-/// Core int8 GEMM: int32 dot products over packed rows, zero-point
-/// corrections via precomputed row sums, then `emit(i, r, value)` per output
-/// element.  Parallel partitions only split (i, r) space; each element's
-/// integer accumulation is exact, so results are bit-identical at any
-/// thread count (and at any SIMD dispatch level).
-template <typename Emit>
-void qgemm_impl(const std::int8_t* a, std::size_t m, std::size_t k,
-                const QuantParams& a_params, const PackedQuantMatrix& w,
-                const float* bias, bool fuse_relu, const Emit& emit) {
-  OPENEI_CHECK(k == w.cols(), "qgemm inner dims differ: ", k, " vs ", w.cols());
-  OPENEI_CHECK(k <= kQgemmMaxK, "qgemm k ", k, " exceeds int32-exact bound");
+/// Copies column `col` of the [k, m] activations (stride `m`) into a
+/// contiguous staging buffer through `convert`.  At m == 1 — single-sample
+/// dense layers — the column is contiguous and the copy vectorizes.
+template <typename T, typename Convert>
+__attribute__((always_inline)) inline void gather_column(
+    const std::int8_t* col, std::size_t m, std::size_t n, T* dst,
+    Convert convert) {
+  if (m == 1) {
+    for (std::size_t p = 0; p < n; ++p) dst[p] = convert(col[p]);
+    return;
+  }
+  for (std::size_t p = 0; p < n; ++p) dst[p] = convert(col[p * m]);
+}
+
+}  // namespace
+
+/// The int8 GEMM driver: int32 dot products over packed weight rows,
+/// zero-point corrections via precomputed row sums, then the shared float
+/// epilogue per output element.  Parallel partitions only split (i, r)
+/// space; each element's integer accumulation is exact, so results are
+/// bit-identical at any thread count (and at any SIMD dispatch level).  The
+/// batched VNNI tile stages its 4-byte-interleaved lanes from `at` with
+/// contiguous 16-byte loads and an in-register byte transpose; the
+/// per-sample path gathers one activation column.
+void qgemm_t(const std::int8_t* at, std::size_t m, std::size_t k,
+             const QuantParams& a_params, const PackedQuantMatrix& w,
+             const float* bias, bool fuse_relu, float* out) {
+  OPENEI_CHECK(k == w.cols(), "qgemm_t inner dims differ: ", k, " vs ",
+               w.cols());
+  OPENEI_CHECK(k <= kQgemmMaxK, "qgemm_t k ", k, " exceeds int32-exact bound");
   // The kernel view is zero-padded to 16-lane rows; matching zero-padded
   // activations contribute nothing, so all correction terms keep real k.
   const std::int8_t* wd = w.kernel_data();
@@ -673,7 +704,7 @@ void qgemm_impl(const std::int8_t* a, std::size_t m, std::size_t k,
   const auto w_zp = static_cast<std::int64_t>(w.weight_zero_point());
   const std::int64_t zp_cross = a_zp * w_zp * static_cast<std::int64_t>(k);
 #if OPENEI_X86_SIMD_DISPATCH
-  // The VNNI kernel consumes activations offset to unsigned (a + 128); its
+  // The VNNI kernels consume activations offset to unsigned (a + 128); their
   // raw accumulation therefore carries an extra 128 * row_sums[r], removed
   // below via acc_zp.  Integer arithmetic throughout, so still exact.
   const bool use_vnni = simd_level() >= 3;
@@ -682,11 +713,23 @@ void qgemm_impl(const std::int8_t* a, std::size_t m, std::size_t k,
 #endif
   const std::int64_t acc_zp = a_zp + (use_vnni ? 128 : 0);
 
+  // Zero-point correction of one raw accumulation, then the epilogue.
+  auto emit = [&](std::size_t i, std::size_t r, std::int32_t acc,
+                  std::int64_t a_sum) {
+    std::int64_t corrected = static_cast<std::int64_t>(acc) -
+                             acc_zp * static_cast<std::int64_t>(row_sums[r]) -
+                             w_zp * a_sum + zp_cross;
+    out[i * rows + r] = requantize_epilogue(corrected, a_params.scale * ws[r],
+                                            bias, r, fuse_relu);
+  };
+
+  // Per-sample path: stage activation column i, then run the per-i kernels
+  // over weight rows [r0, r1).
   auto row_block = [&](std::size_t i, std::size_t r0, std::size_t r1) {
-    const std::int8_t* arow = a + i * k;
+    const std::int8_t* col = at + i;
     std::int64_t a_sum = 0;
     if (w_zp != 0) {
-      for (std::size_t p = 0; p < k; ++p) a_sum += arow[p];
+      for (std::size_t p = 0; p < k; ++p) a_sum += col[p * m];
     }
     std::int16_t a16[kWidenTile];
 #if OPENEI_X86_SIMD_DISPATCH
@@ -703,46 +746,40 @@ void qgemm_impl(const std::int8_t* a, std::size_t m, std::size_t k,
       for (std::size_t p0 = 0; p0 < k_pad; p0 += kWidenTile) {
         const std::size_t chunk = std::min(kWidenTile, k_pad - p0);
         const std::size_t real = p0 < k ? std::min(chunk, k - p0) : 0;
+        const std::int8_t* src = col + p0 * m;
 #if OPENEI_X86_SIMD_DISPATCH
         if (use_vnni) {
           // Two's-complement +128 is XOR 0x80: int8 -> biased uint8.
-          for (std::size_t p = 0; p < real; ++p) {
-            au8[p] = static_cast<std::uint8_t>(arow[p0 + p]) ^ 0x80U;
-          }
-          for (std::size_t p = real; p < chunk; ++p) au8[p] = 0x80U;
+          gather_column(src, m, real, au8, [](std::int8_t v) {
+            return static_cast<std::uint8_t>(static_cast<std::uint8_t>(v) ^
+                                             0x80U);
+          });
+          std::fill(au8 + real, au8 + chunk, 0x80U);
           qgemm_rows_vnni(au8, wd + rt * k_pad + p0, k_pad, chunk, nrows,
                           acc);
           continue;
         }
 #endif
-        for (std::size_t p = 0; p < real; ++p) a16[p] = arow[p0 + p];
-        for (std::size_t p = real; p < chunk; ++p) a16[p] = 0;
+        gather_column(src, m, real, a16,
+                      [](std::int8_t v) { return std::int16_t{v}; });
+        std::fill(a16 + real, a16 + chunk, 0);
         qgemm_rows(a16, wd + rt * k_pad + p0, k_pad, chunk, nrows, acc);
       }
-      for (std::size_t j = 0; j < nrows; ++j) {
-        const std::size_t r = rt + j;
-        std::int64_t corrected =
-            static_cast<std::int64_t>(acc[j]) -
-            acc_zp * static_cast<std::int64_t>(row_sums[r]) - w_zp * a_sum +
-            zp_cross;
-        emit(i, r,
-             requantize_epilogue(corrected, a_params.scale * ws[r], bias, r,
-                                 fuse_relu));
-      }
+      for (std::size_t j = 0; j < nrows; ++j) emit(i, rt + j, acc[j], a_sum);
     }
   };
 
 #if OPENEI_X86_SIMD_DISPATCH
   if (use_vnni && m >= 16) {
-    // Batched path: 16-row tiles of A through the lane-parallel kernel.
+    // Batched path: 16-sample tiles of A through the lane-parallel kernel.
     // kPackTile bounds the staged tile (16 * 1024 = 16 KB on the stack).
     constexpr std::size_t kPackTile = 1024;
     auto tile_block = [&](std::size_t i0, std::size_t ni) {
       std::int64_t a_sums[16] = {};
       if (w_zp != 0) {
-        for (std::size_t ii = 0; ii < ni; ++ii) {
-          const std::int8_t* arow = a + (i0 + ii) * k;
-          for (std::size_t p = 0; p < k; ++p) a_sums[ii] += arow[p];
+        for (std::size_t p = 0; p < k; ++p) {
+          const std::int8_t* arow = at + p * m + i0;
+          for (std::size_t ii = 0; ii < ni; ++ii) a_sums[ii] += arow[ii];
         }
       }
       std::uint8_t at4[16 * kPackTile];
@@ -752,24 +789,29 @@ void qgemm_impl(const std::int8_t* a, std::size_t m, std::size_t k,
         bool first = true;
         for (std::size_t p0 = 0; p0 < k_pad; p0 += kPackTile) {
           const std::size_t chunk = std::min(kPackTile, k_pad - p0);
-          // Stage the interleaved activation tile: whole dwords XOR the
-          // +128 bias in one op, ragged tails byte-wise, unused lanes at
-          // biased zero (their outputs are never emitted).
-          if (ni < 16) std::memset(at4, 0x80, 16 * chunk);
-          for (std::size_t ii = 0; ii < ni; ++ii) {
-            const std::int8_t* arow = a + (i0 + ii) * k;
-            const std::size_t real = p0 < k ? std::min(chunk, k - p0) : 0;
-            std::size_t p = 0;
-            for (; p + 4 <= real; p += 4) {
-              std::uint32_t v;
-              std::memcpy(&v, arow + p0 + p, 4);
-              v ^= 0x80808080U;
-              std::memcpy(at4 + (p / 4) * 64 + ii * 4, &v, 4);
-            }
-            for (; p < chunk; ++p) {
-              at4[(p / 4) * 64 + ii * 4 + (p % 4)] =
-                  p < real ? static_cast<std::uint8_t>(arow[p0 + p]) ^ 0x80U
-                           : 0x80U;
+          // Stage groups of 4 activation rows into the interleaved tile.
+          // Full 16-lane groups use the SSE byte transpose (contiguous
+          // loads from the [k, m] layout); k-boundary and ragged-width
+          // groups fall back to the scalar fill with biased-zero padding
+          // (unused lanes' outputs are never emitted).
+          for (std::size_t p = 0; p < chunk; p += 4) {
+            const std::size_t gp = p0 + p;
+            std::uint8_t* dst = at4 + (p / 4) * 64;
+            if (ni == 16 && gp + 4 <= k) {
+              const std::int8_t* base = at + gp * m + i0;
+              transpose4x16_bias(base, base + m, base + 2 * m, base + 3 * m,
+                                 dst);
+            } else {
+              for (std::size_t j = 0; j < 4; ++j) {
+                const std::size_t gpj = gp + j;
+                for (std::size_t ii = 0; ii < 16; ++ii) {
+                  dst[ii * 4 + j] =
+                      (gpj < k && ii < ni)
+                          ? static_cast<std::uint8_t>(at[gpj * m + i0 + ii]) ^
+                                0x80U
+                          : 0x80U;
+                }
+              }
             }
           }
           qgemm_tile16_vnni(at4, chunk, wd + rt * k_pad + p0, k_pad, nrows,
@@ -778,16 +820,8 @@ void qgemm_impl(const std::int8_t* a, std::size_t m, std::size_t k,
         }
         if (first) std::fill(acc, acc + nrows * 16, 0);  // k == 0 guard
         for (std::size_t j = 0; j < nrows; ++j) {
-          const std::size_t r = rt + j;
-          const float combined_scale = a_params.scale * ws[r];
           for (std::size_t ii = 0; ii < ni; ++ii) {
-            std::int64_t corrected =
-                static_cast<std::int64_t>(acc[j * 16 + ii]) -
-                acc_zp * static_cast<std::int64_t>(row_sums[r]) -
-                w_zp * a_sums[ii] + zp_cross;
-            emit(i0 + ii, r,
-                 requantize_epilogue(corrected, combined_scale, bias, r,
-                                     fuse_relu));
+            emit(i0 + ii, rt + j, acc[j * 16 + ii], a_sums[ii]);
           }
         }
       }
@@ -824,300 +858,6 @@ void qgemm_impl(const std::int8_t* a, std::size_t m, std::size_t k,
       },
       /*grain=*/std::max<std::size_t>(
           1, kQgemmSerialMacs / std::max<std::size_t>(1, k * rows)));
-}
-
-/// Transposed-activation twin of qgemm_impl: `at` is [k, m], so activation
-/// column p is contiguous over samples.  The batched VNNI tile stages its
-/// 4-byte-interleaved lanes with contiguous 16-byte loads + an in-register
-/// byte transpose (no strided gather at all); the per-sample fallback
-/// gathers one column with stride m.  Same integer accumulation and the
-/// same float epilogue as qgemm_impl, so results are bit-identical to
-/// qgemm on the untransposed matrix.
-template <typename Emit>
-void qgemm_t_impl(const std::int8_t* at, std::size_t m, std::size_t k,
-                  const QuantParams& a_params, const PackedQuantMatrix& w,
-                  const float* bias, bool fuse_relu, const Emit& emit) {
-  OPENEI_CHECK(k == w.cols(), "qgemm_t inner dims differ: ", k, " vs ",
-               w.cols());
-  OPENEI_CHECK(k <= kQgemmMaxK, "qgemm_t k ", k, " exceeds int32-exact bound");
-  const std::int8_t* wd = w.kernel_data();
-  const std::size_t k_pad = w.kernel_cols();
-  const float* ws = w.scales().data();
-  const std::int32_t* row_sums = w.row_sums().data();
-  const std::size_t rows = w.rows();
-  const auto a_zp = static_cast<std::int64_t>(a_params.zero_point);
-  const auto w_zp = static_cast<std::int64_t>(w.weight_zero_point());
-  const std::int64_t zp_cross = a_zp * w_zp * static_cast<std::int64_t>(k);
-#if OPENEI_X86_SIMD_DISPATCH
-  const bool use_vnni = simd_level() >= 3;
-#else
-  constexpr bool use_vnni = false;
-#endif
-  const std::int64_t acc_zp = a_zp + (use_vnni ? 128 : 0);
-
-  // Per-sample fallback: gather activation column i (stride m) into the
-  // staging buffer, then reuse the per-i kernels unchanged.
-  auto row_block = [&](std::size_t i, std::size_t r0, std::size_t r1) {
-    std::int64_t a_sum = 0;
-    if (w_zp != 0) {
-      for (std::size_t p = 0; p < k; ++p) a_sum += at[p * m + i];
-    }
-    std::int16_t a16[kWidenTile];
-#if OPENEI_X86_SIMD_DISPATCH
-    std::uint8_t au8[kWidenTile];
-#endif
-    std::int32_t acc[kRowTile];
-    for (std::size_t rt = r0; rt < r1; rt += kRowTile) {
-      const std::size_t nrows = std::min(kRowTile, r1 - rt);
-      std::fill(acc, acc + nrows, 0);
-      for (std::size_t p0 = 0; p0 < k_pad; p0 += kWidenTile) {
-        const std::size_t chunk = std::min(kWidenTile, k_pad - p0);
-        const std::size_t real = p0 < k ? std::min(chunk, k - p0) : 0;
-#if OPENEI_X86_SIMD_DISPATCH
-        if (use_vnni) {
-          for (std::size_t p = 0; p < real; ++p) {
-            au8[p] = static_cast<std::uint8_t>(at[(p0 + p) * m + i]) ^ 0x80U;
-          }
-          for (std::size_t p = real; p < chunk; ++p) au8[p] = 0x80U;
-          qgemm_rows_vnni(au8, wd + rt * k_pad + p0, k_pad, chunk, nrows,
-                          acc);
-          continue;
-        }
-#endif
-        for (std::size_t p = 0; p < real; ++p) a16[p] = at[(p0 + p) * m + i];
-        for (std::size_t p = real; p < chunk; ++p) a16[p] = 0;
-        qgemm_rows(a16, wd + rt * k_pad + p0, k_pad, chunk, nrows, acc);
-      }
-      for (std::size_t j = 0; j < nrows; ++j) {
-        const std::size_t r = rt + j;
-        std::int64_t corrected =
-            static_cast<std::int64_t>(acc[j]) -
-            acc_zp * static_cast<std::int64_t>(row_sums[r]) - w_zp * a_sum +
-            zp_cross;
-        emit(i, r,
-             requantize_epilogue(corrected, a_params.scale * ws[r], bias, r,
-                                 fuse_relu));
-      }
-    }
-  };
-
-#if OPENEI_X86_SIMD_DISPATCH
-  if (use_vnni && m >= 16) {
-    constexpr std::size_t kPackTile = 1024;
-    auto tile_block = [&](std::size_t i0, std::size_t ni) {
-      std::int64_t a_sums[16] = {};
-      if (w_zp != 0) {
-        for (std::size_t p = 0; p < k; ++p) {
-          const std::int8_t* arow = at + p * m + i0;
-          for (std::size_t ii = 0; ii < ni; ++ii) a_sums[ii] += arow[ii];
-        }
-      }
-      std::uint8_t at4[16 * kPackTile];
-      std::int32_t acc[kRowTile * 16];
-      for (std::size_t rt = 0; rt < rows; rt += kRowTile) {
-        const std::size_t nrows = std::min(kRowTile, rows - rt);
-        bool first = true;
-        for (std::size_t p0 = 0; p0 < k_pad; p0 += kPackTile) {
-          const std::size_t chunk = std::min(kPackTile, k_pad - p0);
-          // Stage groups of 4 activation rows into the interleaved tile.
-          // Full 16-lane groups use the SSE byte transpose (contiguous
-          // loads from the [k, m] layout); k-boundary and ragged-width
-          // groups fall back to the scalar fill with biased-zero padding.
-          for (std::size_t p = 0; p < chunk; p += 4) {
-            const std::size_t gp = p0 + p;
-            std::uint8_t* dst = at4 + (p / 4) * 64;
-            if (ni == 16 && gp + 4 <= k) {
-              const std::int8_t* base = at + gp * m + i0;
-              transpose4x16_bias(base, base + m, base + 2 * m, base + 3 * m,
-                                 dst);
-            } else {
-              for (std::size_t j = 0; j < 4; ++j) {
-                const std::size_t gpj = gp + j;
-                for (std::size_t ii = 0; ii < 16; ++ii) {
-                  dst[ii * 4 + j] =
-                      (gpj < k && ii < ni)
-                          ? static_cast<std::uint8_t>(at[gpj * m + i0 + ii]) ^
-                                0x80U
-                          : 0x80U;
-                }
-              }
-            }
-          }
-          qgemm_tile16_vnni(at4, chunk, wd + rt * k_pad + p0, k_pad, nrows,
-                            first, acc);
-          first = false;
-        }
-        if (first) std::fill(acc, acc + nrows * 16, 0);  // k == 0 guard
-        for (std::size_t j = 0; j < nrows; ++j) {
-          const std::size_t r = rt + j;
-          const float combined_scale = a_params.scale * ws[r];
-          for (std::size_t ii = 0; ii < ni; ++ii) {
-            std::int64_t corrected =
-                static_cast<std::int64_t>(acc[j * 16 + ii]) -
-                acc_zp * static_cast<std::int64_t>(row_sums[r]) -
-                w_zp * a_sums[ii] + zp_cross;
-            emit(i0 + ii, r,
-                 requantize_epilogue(corrected, combined_scale, bias, r,
-                                     fuse_relu));
-          }
-        }
-      }
-    };
-    const std::size_t tiles = (m + 15) / 16;
-    common::parallel_for(
-        0, tiles,
-        [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t t = lo; t < hi; ++t) {
-            tile_block(t * 16, std::min<std::size_t>(16, m - t * 16));
-          }
-        },
-        /*grain=*/std::max<std::size_t>(
-            1, kQgemmSerialMacs / std::max<std::size_t>(1, 16 * k * rows)));
-    return;
-  }
-#endif
-  if (m * rows * k < kQgemmSerialMacs) {
-    for (std::size_t i = 0; i < m; ++i) row_block(i, 0, rows);
-    return;
-  }
-  if (m == 1) {
-    common::parallel_for(
-        0, rows, [&](std::size_t lo, std::size_t hi) { row_block(0, lo, hi); },
-        /*grain=*/std::max<std::size_t>(
-            1, kQgemmSerialMacs / std::max<std::size_t>(1, k)));
-    return;
-  }
-  common::parallel_for(
-      0, m,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) row_block(i, 0, rows);
-      },
-      /*grain=*/std::max<std::size_t>(
-          1, kQgemmSerialMacs / std::max<std::size_t>(1, k * rows)));
-}
-
-}  // namespace
-
-void qgemm(const std::int8_t* a, std::size_t m, std::size_t k,
-           const QuantParams& a_params, const PackedQuantMatrix& w,
-           const float* bias, bool fuse_relu, float* out) {
-  const std::size_t rows = w.rows();
-  qgemm_impl(a, m, k, a_params, w, bias, fuse_relu,
-             [&](std::size_t i, std::size_t r, float v) {
-               out[i * rows + r] = v;
-             });
-}
-
-void qgemm(const std::int8_t* a, std::size_t m, std::size_t k,
-           const QuantParams& a_params, const PackedQuantMatrix& w,
-           const float* bias, bool fuse_relu, const QuantParams& out_params,
-           std::int8_t* out) {
-  const std::size_t rows = w.rows();
-  qgemm_impl(a, m, k, a_params, w, bias, fuse_relu,
-             [&](std::size_t i, std::size_t r, float v) {
-               out[i * rows + r] = quantize_one(v, out_params);
-             });
-}
-
-void qgemm_t(const std::int8_t* at, std::size_t m, std::size_t k,
-             const QuantParams& a_params, const PackedQuantMatrix& w,
-             const float* bias, bool fuse_relu, float* out) {
-  const std::size_t rows = w.rows();
-  qgemm_t_impl(at, m, k, a_params, w, bias, fuse_relu,
-               [&](std::size_t i, std::size_t r, float v) {
-                 out[i * rows + r] = v;
-               });
-}
-
-void im2col_q8(const std::int8_t* input, std::size_t n, std::size_t in_h,
-               std::size_t in_w, const Conv2dSpec& spec, std::int8_t pad_value,
-               std::int8_t* out) {
-  std::size_t out_h = spec.out_size(in_h);
-  std::size_t out_w = spec.out_size(in_w);
-  std::size_t patch = spec.in_channels * spec.kernel * spec.kernel;
-  std::size_t image_elems = spec.in_channels * in_h * in_w;
-
-  // Valid output-column range per kernel column: iw = ow*stride + kw -
-  // padding must land in [0, in_w).  The range depends only on kw, so the
-  // divisions hoist out of every per-pixel loop below.
-  std::vector<long> kw_shift(spec.kernel);
-  std::vector<std::size_t> kw_lo(spec.kernel);
-  std::vector<std::size_t> kw_hi(spec.kernel);
-  for (std::size_t kw = 0; kw < spec.kernel; ++kw) {
-    long shift = static_cast<long>(kw) - static_cast<long>(spec.padding);
-    std::size_t lo =
-        shift < 0
-            ? (static_cast<std::size_t>(-shift) + spec.stride - 1) / spec.stride
-            : 0;
-    long limit = static_cast<long>(in_w) - 1 - shift;
-    std::size_t hi =
-        limit < 0
-            ? 0
-            : std::min(out_w, static_cast<std::size_t>(limit) / spec.stride + 1);
-    kw_shift[kw] = shift;
-    kw_lo[kw] = std::min(lo, out_w);
-    kw_hi[kw] = std::max(hi, kw_lo[kw]);
-  }
-
-  // Same slab decomposition as the float im2col: each (image, output row)
-  // pair fills a disjoint block of patch rows.
-  common::parallel_for(
-      0, n * out_h,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t slab = lo; slab < hi; ++slab) {
-          std::size_t b = slab / out_h;
-          std::size_t oh = slab % out_h;
-          const std::int8_t* image = input + b * image_elems;
-          std::int8_t* slab_out = out + slab * out_w * patch;
-          // Loop order puts ow innermost with all bounds hoisted: for a fixed
-          // (ic, kh, kw) the input positions are contiguous (stride
-          // `spec.stride`) and the output positions are a fixed-stride column
-          // (stride `patch`), so the hot loop is a branch-free strided copy
-          // and padding collapses to prefix/suffix fills.
-          for (std::size_t ic = 0; ic < spec.in_channels; ++ic) {
-            const std::int8_t* plane = image + ic * in_h * in_w;
-            for (std::size_t kh = 0; kh < spec.kernel; ++kh) {
-              long ih = static_cast<long>(oh * spec.stride + kh) -
-                        static_cast<long>(spec.padding);
-              std::int8_t* base =
-                  slab_out + (ic * spec.kernel + kh) * spec.kernel;
-              if (ih < 0 || static_cast<std::size_t>(ih) >= in_h) {
-                for (std::size_t kw = 0; kw < spec.kernel; ++kw) {
-                  std::int8_t* dst = base + kw;
-                  for (std::size_t ow = 0; ow < out_w; ++ow) {
-                    dst[ow * patch] = pad_value;
-                  }
-                }
-                continue;
-              }
-              const std::int8_t* irow =
-                  plane + static_cast<std::size_t>(ih) * in_w;
-              for (std::size_t kw = 0; kw < spec.kernel; ++kw) {
-                std::int8_t* dst = base + kw;
-                const long shift = kw_shift[kw];
-                const std::size_t ow_lo = kw_lo[kw];
-                const std::size_t ow_hi = kw_hi[kw];
-                for (std::size_t ow = 0; ow < ow_lo; ++ow) {
-                  dst[ow * patch] = pad_value;
-                }
-                const std::size_t span = ow_hi - ow_lo;
-                if (span != 0) {
-                  const std::int8_t* src = irow + ow_lo * spec.stride + shift;
-                  std::int8_t* d = dst + ow_lo * patch;
-                  for (std::size_t t = 0; t < span; ++t) {
-                    d[t * patch] = src[t * spec.stride];
-                  }
-                }
-                for (std::size_t ow = ow_hi; ow < out_w; ++ow) {
-                  dst[ow * patch] = pad_value;
-                }
-              }
-            }
-          }
-        }
-      },
-      /*grain=*/std::max<std::size_t>(
-          1, 4096 / std::max<std::size_t>(1, out_w * patch)));
 }
 
 void im2col_q8t(const std::int8_t* input, std::size_t n, std::size_t in_h,

@@ -4,11 +4,13 @@
 // The paper (Sec. IV-B) credits TensorFlow Lite's latency wins partly to
 // "quantized kernels"; QNNPACK is an int8 inference library.  This module
 // provides the same primitives: symmetric/affine quantization of float32
-// tensors to int8 (per-tensor, plus per-output-channel for weights), an int8
-// GEMM with int32 accumulation and a fused requantize(+ReLU) epilogue, and
-// int8 im2col so convolution executes genuinely quantized.  Integer
-// accumulation is exact, so the GEMM is bit-identical at any OPENEI_THREADS
-// setting by construction.
+// tensors to int8 (per-tensor, plus per-output-channel for weights), one int8
+// GEMM (`qgemm_t`) with int32 accumulation and a fused dequantize(+bias)
+// (+ReLU) epilogue, and int8 im2col so convolution executes genuinely
+// quantized.  Dense and conv layers both feed the GEMM activations in its
+// [k, m] layout.  Integer accumulation is exact, so the GEMM is
+// bit-identical at any OPENEI_THREADS setting and any ISA level by
+// construction.
 #pragma once
 
 #include <algorithm>
@@ -33,6 +35,10 @@ struct QuantParams {
   /// (constant tensors, denormal spans) never produce a zero or non-finite
   /// scale.
   static QuantParams choose(float min_v, float max_v);
+  /// Fits parameters to the range of `n` activations (`choose` over their
+  /// min/max, which starts from zero): the dynamic-range fallback of
+  /// quantized layers that have no calibrated input parameters.
+  static QuantParams fit(const float* values, std::size_t n);
 };
 
 /// Quantizes one value: round-to-nearest (half away from zero), saturating
@@ -145,48 +151,29 @@ class PackedQuantMatrix {
   bool per_channel_ = true;
 };
 
-/// int8 GEMM with int32 accumulation and fused requantize(+bias)(+ReLU)
+/// The int8 GEMM: int32 accumulation and a fused dequantize(+bias)(+ReLU)
 /// epilogue, returning float:
 ///   out[i, r] = relu?( a.scale * w.scale[r] * (sum_p (a[i,p]-a_zp) *
 ///               (w[r,p]-w_zp)) + bias[r] )
-/// `a` is [m, k] row-major int8 (quantized activations), `out` is
-/// [m, w.rows()].  `bias` may be null.  Parallelized over row panels of A
-/// (or over weight rows when m == 1) via the PR-2 substrate; integer
-/// accumulation is exact, so results are bit-identical at any thread count.
-void qgemm(const std::int8_t* a, std::size_t m, std::size_t k,
-           const QuantParams& a_params, const PackedQuantMatrix& w,
-           const float* bias, bool fuse_relu, float* out);
-
-/// Same kernel, but the epilogue requantizes the (bias-added, optionally
-/// ReLU-clamped) float value straight to int8 with `out_params` — the form
-/// used when the next consumer is itself an int8 kernel.
-void qgemm(const std::int8_t* a, std::size_t m, std::size_t k,
-           const QuantParams& a_params, const PackedQuantMatrix& w,
-           const float* bias, bool fuse_relu, const QuantParams& out_params,
-           std::int8_t* out);
-
-/// Transposed-activation GEMM: identical math and bit-identical results to
-/// `qgemm`, but `at` holds A transposed — [k, m] row-major, i.e. activation
-/// column p is contiguous over the m samples.  This is the layout
-/// `im2col_q8t` produces (contiguous writes), and the batched kernel stages
-/// its lane tiles from it with aligned 4x16 byte transposes.
+/// `at` holds the activations A transposed — [k, m] row-major, so column p
+/// of A is contiguous over the m samples.  Convolution writes this layout
+/// with `im2col_q8t` (contiguous memcpy/memset runs) and dense layers by
+/// quantizing each sample into its column; at m == 1 it is plain row-major.
+/// The batched VNNI kernel stages its lane tiles from it with 4x16 byte
+/// transposes.  `out` is [m, w.rows()]; `bias` may be null.  Parallelized
+/// over 16-sample tiles, samples, or weight rows (m == 1); integer
+/// accumulation is exact, so results are bit-identical at any thread count
+/// and any ISA level.
 void qgemm_t(const std::int8_t* at, std::size_t m, std::size_t k,
              const QuantParams& a_params, const PackedQuantMatrix& w,
              const float* bias, bool fuse_relu, float* out);
 
-/// int8 im2col: gathers conv patches from an int8 NCHW buffer into
-/// [n*out_h*out_w, in_c*k*k] row-major int8.  Padding positions gather
-/// `pad_value` (the activation zero point — the exact int8 encoding of 0.0),
-/// so quantized convolution pads identically to the float path.
-void im2col_q8(const std::int8_t* input, std::size_t n, std::size_t in_h,
-               std::size_t in_w, const Conv2dSpec& spec, std::int8_t pad_value,
-               std::int8_t* out);
-
-/// Transposed int8 im2col: same patch values as `im2col_q8` laid out
-/// [in_c*k*k, n*out_h*out_w] (patch-position-major).  Every inner run over
-/// output columns is a contiguous memcpy/memset instead of a strided byte
-/// scatter, which is what makes the quantized conv path's patch gather
-/// cheap; feed the result to `qgemm_t`.
+/// Transposed int8 im2col: gathers conv patches from an int8 NCHW buffer
+/// into [in_c*k*k, n*out_h*out_w] (patch-position-major), the `qgemm_t`
+/// activation layout.  Every inner run over output columns is a contiguous
+/// memcpy/memset.  Padding positions gather `pad_value` (the activation zero
+/// point — the exact int8 encoding of 0.0), so quantized convolution pads
+/// identically to the float path.
 void im2col_q8t(const std::int8_t* input, std::size_t n, std::size_t in_h,
                 std::size_t in_w, const Conv2dSpec& spec,
                 std::int8_t pad_value, std::int8_t* out);
@@ -194,15 +181,16 @@ void im2col_q8t(const std::int8_t* input, std::size_t n, std::size_t in_h,
 /// Quantized matmul: accumulates in int32, returns dequantized float result.
 /// Inputs must be rank 2 with compatible inner dimensions.  (Legacy
 /// per-tensor kernel kept for the compression benches; the layer path uses
-/// qgemm on packed weights.)
+/// qgemm_t on packed weights.)
 Tensor quantized_matmul(const QuantizedTensor& a, const QuantizedTensor& b);
 
 /// Worst-case absolute reconstruction error for parameters `p` (half a step).
 float quantization_step_error(const QuantParams& p);
 
 /// int8 engine dispatch level in effect: 0 = scalar, 1 = AVX2,
-/// 2 = AVX-512 (F+BW+VL), 3 = AVX-512 VNNI.  The fp32 twin is
-/// tensor::fp32_isa_level (tensor/pack.h); both surface through /ei_status.
+/// 2 = AVX-512 (F+BW+VL), 3 = AVX-512 VNNI — the probed level, clamped by
+/// tensor::detail::set_isa_cap (tensor/pack.h) like the fp32 twin
+/// tensor::fp32_isa_level; both surface through /ei_status.
 int int8_isa_level();
 const char* int8_isa_name(int level);
 inline const char* int8_isa_name() { return int8_isa_name(int8_isa_level()); }

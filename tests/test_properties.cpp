@@ -656,9 +656,13 @@ TEST_P(QuantProperty, QgemmWithinAnalyticBoundOfFloatGemm) {
   tensor::PackedQuantMatrix packed =
       tensor::PackedQuantMatrix::pack_rows(w, /*per_channel=*/true);
 
+  std::vector<std::int8_t> qat(m * k);  // the [k, m] layout qgemm_t takes
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t p = 0; p < k; ++p) qat[p * m + i] = qa[i * k + p];
+  }
   std::vector<float> out(m * rows);
-  tensor::qgemm(qa.data(), m, k, a_params, packed, nullptr,
-                /*fuse_relu=*/false, out.data());
+  tensor::qgemm_t(qat.data(), m, k, a_params, packed, nullptr,
+                  /*fuse_relu=*/false, out.data());
 
   float a_step = tensor::quantization_step_error(a_params);
   float a_max = std::max(std::abs(a.min()), std::abs(a.max()));

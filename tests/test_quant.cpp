@@ -6,6 +6,7 @@
 // zero-allocation guarantee on steady-state InferenceSession calls.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -32,6 +33,8 @@
 #include "nn/zoo.h"
 #include "runtime/arena.h"
 #include "runtime/inference.h"
+#include "tensor/ops.h"
+#include "tensor/pack.h"
 #include "tensor/quantize.h"
 
 namespace openei {
@@ -55,6 +58,27 @@ class ScopedThreads {
  private:
   std::size_t previous_;
 };
+
+/// Clamps both engines' dispatch level for the scope, so one host can drive
+/// every int8 kernel it supports.
+class ScopedIsaCap {
+ public:
+  explicit ScopedIsaCap(int cap) : previous_(tensor::detail::set_isa_cap(cap)) {}
+  ~ScopedIsaCap() { tensor::detail::set_isa_cap(previous_); }
+
+ private:
+  int previous_;
+};
+
+/// The [k, m] layout qgemm_t takes, from row-major [m, k] activations.
+std::vector<std::int8_t> transposed(const std::vector<std::int8_t>& a,
+                                    std::size_t m, std::size_t k) {
+  std::vector<std::int8_t> at(m * k);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t p = 0; p < k; ++p) at[p * m + i] = a[i * k + p];
+  }
+  return at;
+}
 
 float dequant_one(std::int8_t q, const QuantParams& p) {
   return p.scale * static_cast<float>(static_cast<std::int32_t>(q) - p.zero_point);
@@ -184,8 +208,9 @@ TEST(PackedQuantMatrixTest, StorageIsInt8PlusScales) {
 // int8 GEMM.
 // ---------------------------------------------------------------------------
 
-/// Naive integer reference applying the exact epilogue arithmetic; qgemm must
-/// match it bit-for-bit (same int math, same float expression order).
+/// Naive integer reference over row-major [m, k] activations applying the
+/// exact epilogue arithmetic; qgemm_t on the transposed copy must match it
+/// bit-for-bit (same int math, same float expression order).
 std::vector<float> qgemm_reference(const std::vector<std::int8_t>& a,
                                    std::size_t m, std::size_t k,
                                    const QuantParams& a_params,
@@ -233,12 +258,22 @@ TEST_P(QgemmTest, MatchesIntegerReferenceExactly) {
   tensor::quantize_to_int8(aw.data().data(), a.size(), a_params, a.data());
   PackedQuantMatrix packed = PackedQuantMatrix::pack_rows(w, per_channel);
 
-  std::vector<float> out(m * rows);
-  tensor::qgemm(a.data(), m, k, a_params, packed, bias.data().data(),
-                /*fuse_relu=*/false, out.data());
+  std::vector<std::int8_t> at = transposed(a, m, k);
   std::vector<float> ref = qgemm_reference(a, m, k, a_params, packed,
                                            bias.data().data(), false);
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], ref[i]) << i;
+  // Every kernel this host reaches (scalar, AVX2, AVX-512 pmaddwd, VNNI)
+  // must reproduce the integer reference bit for bit.
+  for (int level = 0; level <= tensor::int8_isa_level(); ++level) {
+    ScopedIsaCap cap(level);
+    std::vector<float> out(m * rows);
+    tensor::qgemm_t(at.data(), m, k, a_params, packed, bias.data().data(),
+                    /*fuse_relu=*/false, out.data());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(out[i]),
+                std::bit_cast<std::uint32_t>(ref[i]))
+          << i << " level " << level;
+    }
+  }
 }
 
 TEST_P(QgemmTest, BitIdenticalAcrossThreadCounts) {
@@ -251,16 +286,18 @@ TEST_P(QgemmTest, BitIdenticalAcrossThreadCounts) {
   tensor::quantize_to_int8(aw.data().data(), a.size(), a_params, a.data());
   PackedQuantMatrix packed = PackedQuantMatrix::pack_rows(w, per_channel);
 
+  std::vector<std::int8_t> at = transposed(a, m, k);
   std::vector<float> baseline(m * rows);
   {
     ScopedThreads threads(1);
-    tensor::qgemm(a.data(), m, k, a_params, packed, nullptr, false,
-                  baseline.data());
+    tensor::qgemm_t(at.data(), m, k, a_params, packed, nullptr, false,
+                    baseline.data());
   }
   for (std::size_t n : {2U, 4U, 8U}) {
     ScopedThreads threads(n);
     std::vector<float> out(m * rows);
-    tensor::qgemm(a.data(), m, k, a_params, packed, nullptr, false, out.data());
+    tensor::qgemm_t(at.data(), m, k, a_params, packed, nullptr, false,
+                    out.data());
     EXPECT_EQ(std::memcmp(out.data(), baseline.data(),
                           out.size() * sizeof(float)),
               0)
@@ -277,15 +314,13 @@ TEST_P(QgemmTest, TransposedVariantBitIdentical) {
   QuantParams a_params = QuantParams::choose(aw.min(), aw.max());
   std::vector<std::int8_t> a(m * k);
   tensor::quantize_to_int8(aw.data().data(), a.size(), a_params, a.data());
-  std::vector<std::int8_t> at(m * k);  // [k, m] transpose of a
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t p = 0; p < k; ++p) at[p * m + i] = a[i * k + p];
-  }
+  std::vector<std::int8_t> at = transposed(a, m, k);
   PackedQuantMatrix packed = PackedQuantMatrix::pack_rows(w, per_channel);
 
-  std::vector<float> ref(m * rows);
-  tensor::qgemm(a.data(), m, k, a_params, packed, bias.data().data(),
-                /*fuse_relu=*/true, ref.data());
+  // The reference reads the untransposed copy.
+  std::vector<float> ref = qgemm_reference(a, m, k, a_params, packed,
+                                           bias.data().data(),
+                                           /*fuse_relu=*/true);
   for (std::size_t n : {1U, 4U}) {
     ScopedThreads threads(n);
     std::vector<float> out(m * rows);
@@ -307,7 +342,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Im2colQ8T, IsTransposeOfIm2colQ8) {
   // Covers stride 1 + padding (the conv-layer case) and a strided,
-  // pad-free shape; both must agree with the [m, patch] gather elementwise.
+  // pad-free shape; both must agree elementwise with the float [m, patch]
+  // gather on the same values.
   struct Case {
     std::size_t n, in_c, in_hw, kernel, stride, padding;
   };
@@ -329,15 +365,23 @@ TEST(Im2colQ8T, IsTransposeOfIm2colQ8) {
     const std::size_t m = c.n * out_hw * out_hw;
     const std::int8_t pad_value = -3;
 
-    std::vector<std::int8_t> rows(m * patch);
+    // The float gather pads with 0.0, so shift the values by the pad value:
+    // every int8 v becomes the exact float v - pad_value, and padding maps
+    // back to pad_value.
+    std::vector<float> shifted(input.size());
+    for (std::size_t j = 0; j < input.size(); ++j) {
+      shifted[j] = static_cast<float>(input[j] - pad_value);
+    }
+    std::vector<float> rows(m * patch);
     std::vector<std::int8_t> rows_t(m * patch);
-    tensor::im2col_q8(input.data(), c.n, c.in_hw, c.in_hw, spec, pad_value,
-                      rows.data());
+    tensor::im2col_into(shifted.data(), c.n, c.in_hw, c.in_hw, spec,
+                        rows.data());
     tensor::im2col_q8t(input.data(), c.n, c.in_hw, c.in_hw, spec, pad_value,
                        rows_t.data());
     for (std::size_t i = 0; i < m; ++i) {
       for (std::size_t p = 0; p < patch; ++p) {
-        ASSERT_EQ(rows_t[p * m + i], rows[i * patch + p])
+        ASSERT_EQ(rows_t[p * m + i],
+                  static_cast<std::int8_t>(rows[i * patch + p] + pad_value))
             << "i=" << i << " p=" << p << " stride=" << c.stride;
       }
     }
@@ -354,38 +398,19 @@ TEST(QgemmEpilogue, FusedReluMatchesSeparateRelu) {
   tensor::quantize_to_int8(aw.data().data(), a.size(), p, a.data());
   PackedQuantMatrix packed = PackedQuantMatrix::pack_rows(w, true);
 
+  std::vector<std::int8_t> at = transposed(a, 6, 24);
   std::vector<float> plain(6 * 10);
   std::vector<float> fused(6 * 10);
-  tensor::qgemm(a.data(), 6, 24, p, packed, bias.data().data(), false,
-                plain.data());
-  tensor::qgemm(a.data(), 6, 24, p, packed, bias.data().data(), true,
-                fused.data());
+  tensor::qgemm_t(at.data(), 6, 24, p, packed, bias.data().data(), false,
+                  plain.data());
+  tensor::qgemm_t(at.data(), 6, 24, p, packed, bias.data().data(), true,
+                  fused.data());
   bool saw_negative = false;
   for (std::size_t i = 0; i < plain.size(); ++i) {
     saw_negative = saw_negative || plain[i] < 0.0F;
     EXPECT_EQ(fused[i], plain[i] < 0.0F ? 0.0F : plain[i]);
   }
   EXPECT_TRUE(saw_negative);  // the case exercised clamping
-}
-
-TEST(QgemmEpilogue, Int8OutputIsRequantizedFloatOutput) {
-  Rng rng(19);
-  Tensor aw = Tensor::random_uniform(Shape{4, 32}, rng, -1.0F, 1.0F);
-  Tensor w = Tensor::random_uniform(Shape{12, 32}, rng, -1.0F, 1.0F);
-  QuantParams p = QuantParams::choose(aw.min(), aw.max());
-  std::vector<std::int8_t> a(4 * 32);
-  tensor::quantize_to_int8(aw.data().data(), a.size(), p, a.data());
-  PackedQuantMatrix packed = PackedQuantMatrix::pack_rows(w, true);
-
-  std::vector<float> fout(4 * 12);
-  tensor::qgemm(a.data(), 4, 32, p, packed, nullptr, false, fout.data());
-  QuantParams out_params = QuantParams::choose(-8.0F, 8.0F);
-  std::vector<std::int8_t> qout(4 * 12);
-  tensor::qgemm(a.data(), 4, 32, p, packed, nullptr, false, out_params,
-                qout.data());
-  for (std::size_t i = 0; i < fout.size(); ++i) {
-    EXPECT_EQ(qout[i], tensor::quantize_one(fout[i], out_params));
-  }
 }
 
 TEST(QgemmEpilogue, LegacyWeightZeroPointIsCorrected) {
@@ -402,8 +427,9 @@ TEST(QgemmEpilogue, LegacyWeightZeroPointIsCorrected) {
   std::vector<std::int8_t> a(3 * 20);
   tensor::quantize_to_int8(aw.data().data(), a.size(), p, a.data());
 
+  std::vector<std::int8_t> at = transposed(a, 3, 20);
   std::vector<float> out(3 * 15);
-  tensor::qgemm(a.data(), 3, 20, p, packed, nullptr, false, out.data());
+  tensor::qgemm_t(at.data(), 3, 20, p, packed, nullptr, false, out.data());
 
   // Reference: dequantize both operands and multiply in float.  The integer
   // path differs only by quantization error, not by any zero-point bias.
@@ -432,8 +458,8 @@ TEST(QgemmEpilogue, RejectsKBeyondInt32ExactBound) {
   std::vector<std::int8_t> big_a(big, 0);
   PackedQuantMatrix big_w(1, big, std::vector<std::int8_t>(big, 0), {1.0F}, 0,
                           true);
-  EXPECT_THROW(tensor::qgemm(big_a.data(), 1, big, QuantParams{}, big_w,
-                             nullptr, false, out.data()),
+  EXPECT_THROW(tensor::qgemm_t(big_a.data(), 1, big, QuantParams{}, big_w,
+                               nullptr, false, out.data()),
                InvalidArgument);
 }
 

@@ -47,8 +47,8 @@ class ScopedThreads {
 class ScopedIsaCap {
  public:
   explicit ScopedIsaCap(int cap)
-      : previous_(tensor::detail::set_fp32_isa_cap(cap)) {}
-  ~ScopedIsaCap() { tensor::detail::set_fp32_isa_cap(previous_); }
+      : previous_(tensor::detail::set_isa_cap(cap)) {}
+  ~ScopedIsaCap() { tensor::detail::set_isa_cap(previous_); }
 
  private:
   int previous_;
