@@ -1,8 +1,9 @@
 // Model-lifecycle bench: the cost of the memory-governed session cache.
 // Reports warm-hit vs cold-miss acquire latency (p50/p95), hot-swap install
-// latency through the copy-on-write registry, and LRU eviction throughput
-// when the working set exceeds the budget.  Writes BENCH_cache.json so CI
-// can archive the trajectory.
+// latency through the copy-on-write registry, the cost of decoding a
+// mini-VGG model body (what a hot-swap over POST /ei_models pays before the
+// install), and LRU eviction throughput when the working set exceeds the
+// budget.  Writes BENCH_cache.json so CI can archive the trajectory.
 //
 // Usage: bench_model_cache [--quick] [--out PATH]
 //   --quick  fewer reps (CI smoke job)
@@ -22,6 +23,7 @@
 #include "hwsim/cost_model.h"
 #include "hwsim/device.h"
 #include "hwsim/package.h"
+#include "nn/serialize.h"
 #include "nn/zoo.h"
 #include "runtime/model_registry.h"
 #include "runtime/session_cache.h"
@@ -80,7 +82,7 @@ Json stats_to_json(const LatencyStats& stats) {
 
 int run(const Config& config) {
   banner(std::string("Model lifecycle: session-cache acquire, hot-swap, "
-                     "eviction") +
+                     "body decode, eviction") +
          (config.quick ? "  [quick]" : ""));
 
   hwsim::DeviceProfile device = hwsim::raspberry_pi_4();
@@ -90,6 +92,7 @@ int run(const Config& config) {
   const std::size_t warm_reps = config.quick ? 200 : 5000;
   const std::size_t cold_reps = config.quick ? 30 : 300;
   const std::size_t swap_reps = config.quick ? 30 : 300;
+  const std::size_t decode_reps = config.quick ? 20 : 200;
   const std::size_t evict_acquires = config.quick ? 60 : 600;
 
   runtime::ModelRegistry registry;
@@ -138,6 +141,20 @@ int run(const Config& config) {
   std::printf("p50 %s   p95 %s\n", format_seconds(swap.p50_ms * 1e-3).c_str(),
               format_seconds(swap.p95_ms * 1e-3).c_str());
 
+  // --- Model body decode: Json::parse + model_from_json of a mini-VGG body,
+  // the bulk of an HTTP hot-swap (E14).  Its own seed keeps the other
+  // sections' models unchanged.
+  Rng vgg_rng(7);
+  std::string vgg_body = nn::save_model(nn::zoo::make_mini_vgg({}, vgg_rng));
+  LatencyStats decode = measure(
+      decode_reps, [] {},
+      [&] { benchmark::DoNotOptimize(nn::load_model(vgg_body)); });
+  section("model body decode (mini-VGG, nn::load_model)");
+  std::printf("%s body   p50 %s   p95 %s\n",
+              format_bytes(static_cast<double>(vgg_body.size())).c_str(),
+              format_seconds(decode.p50_ms * 1e-3).c_str(),
+              format_seconds(decode.p95_ms * 1e-3).c_str());
+
   // --- Eviction throughput: a working set of 4 equal-size models against a
   // 2-session budget; every acquire in the cycle is a miss + an eviction.
   runtime::ModelRegistry fleet_registry;
@@ -180,6 +197,9 @@ int run(const Config& config) {
   report.set("cold_miss", stats_to_json(cold));
   report.set("warm_vs_cold_p50_speedup", speedup);
   report.set("hot_swap", stats_to_json(swap));
+  Json model_decode = stats_to_json(decode);
+  model_decode.set("body_bytes", vgg_body.size());
+  report.set("model_decode", std::move(model_decode));
   Json eviction{JsonObject{}};
   eviction.set("acquires", evict_acquires);
   eviction.set("evictions", tight_stats.evictions);

@@ -1,6 +1,7 @@
 #include "common/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -9,12 +10,12 @@ namespace openei::common {
 
 bool Json::as_bool() const {
   OPENEI_CHECK(is_bool(), "JSON value is not a bool");
-  return bool_;
+  return *std::get_if<bool>(&value_);
 }
 
 double Json::as_number() const {
   OPENEI_CHECK(is_number(), "JSON value is not a number");
-  return number_;
+  return *std::get_if<double>(&value_);
 }
 
 std::int64_t Json::as_int() const {
@@ -23,32 +24,32 @@ std::int64_t Json::as_int() const {
 
 const std::string& Json::as_string() const {
   OPENEI_CHECK(is_string(), "JSON value is not a string");
-  return string_;
+  return *std::get_if<std::string>(&value_);
 }
 
 const JsonArray& Json::as_array() const {
   OPENEI_CHECK(is_array(), "JSON value is not an array");
-  return array_;
+  return *std::get_if<JsonArray>(&value_);
 }
 
 JsonArray& Json::as_array() {
   OPENEI_CHECK(is_array(), "JSON value is not an array");
-  return array_;
+  return *std::get_if<JsonArray>(&value_);
 }
 
 const JsonObject& Json::as_object() const {
   OPENEI_CHECK(is_object(), "JSON value is not an object");
-  return object_;
+  return *std::get_if<JsonObject>(&value_);
 }
 
 JsonObject& Json::as_object() {
   OPENEI_CHECK(is_object(), "JSON value is not an object");
-  return object_;
+  return *std::get_if<JsonObject>(&value_);
 }
 
 const Json* Json::find(std::string_view key) const {
   if (!is_object()) return nullptr;
-  for (const auto& [name, value] : object_) {
+  for (const auto& [name, value] : as_object()) {
     if (name == key) return &value;
   }
   return nullptr;
@@ -62,35 +63,25 @@ const Json& Json::at(std::string_view key) const {
 
 void Json::set(std::string key, Json value) {
   OPENEI_CHECK(is_object() || is_null(), "set() on non-object JSON value");
-  if (is_null()) type_ = Type::kObject;
-  for (auto& [name, existing] : object_) {
+  if (is_null()) value_ = JsonObject{};
+  JsonObject& object = as_object();
+  for (auto& [name, existing] : object) {
     if (name == key) {
       existing = std::move(value);
       return;
     }
   }
-  object_.emplace_back(std::move(key), std::move(value));
+  object.emplace_back(std::move(key), std::move(value));
 }
 
 const Json& Json::at(std::size_t index) const {
-  OPENEI_CHECK(is_array(), "indexing a non-array JSON value");
-  OPENEI_CHECK(index < array_.size(), "JSON array index ", index, " out of range ",
-               array_.size());
-  return array_[index];
+  const JsonArray& array = as_array();
+  OPENEI_CHECK(index < array.size(), "JSON array index ", index, " out of range ",
+               array.size());
+  return array[index];
 }
 
-bool Json::operator==(const Json& other) const {
-  if (type_ != other.type_) return false;
-  switch (type_) {
-    case Type::kNull: return true;
-    case Type::kBool: return bool_ == other.bool_;
-    case Type::kNumber: return number_ == other.number_;
-    case Type::kString: return string_ == other.string_;
-    case Type::kArray: return array_ == other.array_;
-    case Type::kObject: return object_ == other.object_;
-  }
-  return false;
-}
+bool Json::operator==(const Json& other) const { return value_ == other.value_; }
 
 namespace {
 
@@ -145,39 +136,41 @@ void indent_to(std::string& out, int indent, int depth) {
 }  // namespace
 
 void Json::write(std::string& out, int indent, int depth) const {
-  switch (type_) {
+  switch (type()) {
     case Type::kNull: out += "null"; return;
-    case Type::kBool: out += bool_ ? "true" : "false"; return;
-    case Type::kNumber: write_number(out, number_); return;
-    case Type::kString: write_escaped(out, string_); return;
+    case Type::kBool: out += as_bool() ? "true" : "false"; return;
+    case Type::kNumber: write_number(out, as_number()); return;
+    case Type::kString: write_escaped(out, as_string()); return;
     case Type::kArray: {
-      if (array_.empty()) {
+      const JsonArray& array = as_array();
+      if (array.empty()) {
         out += "[]";
         return;
       }
       out.push_back('[');
-      for (std::size_t i = 0; i < array_.size(); ++i) {
+      for (std::size_t i = 0; i < array.size(); ++i) {
         if (i > 0) out.push_back(',');
         indent_to(out, indent, depth + 1);
-        array_[i].write(out, indent, depth + 1);
+        array[i].write(out, indent, depth + 1);
       }
       indent_to(out, indent, depth);
       out.push_back(']');
       return;
     }
     case Type::kObject: {
-      if (object_.empty()) {
+      const JsonObject& object = as_object();
+      if (object.empty()) {
         out += "{}";
         return;
       }
       out.push_back('{');
-      for (std::size_t i = 0; i < object_.size(); ++i) {
+      for (std::size_t i = 0; i < object.size(); ++i) {
         if (i > 0) out.push_back(',');
         indent_to(out, indent, depth + 1);
-        write_escaped(out, object_[i].first);
+        write_escaped(out, object[i].first);
         out.push_back(':');
         if (indent > 0) out.push_back(' ');
-        object_[i].second.write(out, indent, depth + 1);
+        object[i].second.write(out, indent, depth + 1);
       }
       indent_to(out, indent, depth);
       out.push_back('}');
@@ -262,7 +255,7 @@ class Parser {
         case 't': expect("true"); return Json(true);
         case 'f': expect("false"); return Json(false);
         case 'n': expect("null"); return Json(nullptr);
-        default: return parse_number();
+        default: return Json(parse_number());
       }
     }();
     --depth_;
@@ -299,6 +292,23 @@ class Parser {
       ++pos_;
       return Json(std::move(array));
     }
+    // A leading run of numbers (a weight tensor, an input row) collects in
+    // the reused numbers_ buffer, so its array is allocated once at full
+    // size.  Anything else falls through to the general loop.
+    numbers_.clear();
+    bool closed = false;
+    while (!closed && depth_ < kMaxDepth &&
+           (peek() == '-' || (peek() >= '0' && peek() <= '9'))) {
+      numbers_.push_back(parse_number());
+      skip_ws();
+      char c = next();
+      if (c == ']') closed = true;
+      else if (c != ',') fail("expected ',' or ']' in array");
+      skip_ws();
+    }
+    array.reserve(numbers_.size());
+    for (double number : numbers_) array.emplace_back(number);
+    if (closed) return Json(std::move(array));
     while (true) {
       array.push_back(parse_value());
       skip_ws();
@@ -360,7 +370,7 @@ class Parser {
     }
   }
 
-  Json parse_number() {
+  double parse_number() {
     std::size_t start = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
     bool any_digit = false;
@@ -381,13 +391,25 @@ class Parser {
       while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
     }
     if (!any_digit) fail("invalid number");
-    std::string token(text_.substr(start, pos_ - start));
-    return Json(std::strtod(token.c_str(), nullptr));
+    // from_chars rounds correctly, like strtod, but needs no NUL-terminated
+    // copy.  It must consume the whole token ("1e" is not a number).
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    double value = 0.0;
+    auto [end, error] = std::from_chars(first, last, value);
+    if (end != last) fail("invalid number");
+    // Out of range leaves `value` untouched; strtod gives +-inf on overflow
+    // and the nearest subnormal or zero on underflow.
+    if (error == std::errc::result_out_of_range) {
+      value = std::strtod(std::string(first, last).c_str(), nullptr);
+    }
+    return value;
   }
 
   std::string_view text_;
   std::size_t pos_ = 0;
   int depth_ = 0;
+  std::vector<double> numbers_;
 };
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/error.h"
@@ -30,25 +31,26 @@ class Json {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 
-  Json() : type_(Type::kNull) {}
-  Json(std::nullptr_t) : type_(Type::kNull) {}
-  Json(bool value) : type_(Type::kBool), bool_(value) {}
-  Json(double value) : type_(Type::kNumber), number_(value) {}
-  Json(int value) : type_(Type::kNumber), number_(value) {}
-  Json(std::int64_t value) : type_(Type::kNumber), number_(static_cast<double>(value)) {}
-  Json(std::size_t value) : type_(Type::kNumber), number_(static_cast<double>(value)) {}
-  Json(const char* value) : type_(Type::kString), string_(value) {}
-  Json(std::string value) : type_(Type::kString), string_(std::move(value)) {}
-  Json(JsonArray value) : type_(Type::kArray), array_(std::move(value)) {}
-  Json(JsonObject value) : type_(Type::kObject), object_(std::move(value)) {}
+  Json() = default;
+  Json(std::nullptr_t) {}
+  Json(bool value) : value_(value) {}
+  Json(double value) : value_(value) {}
+  Json(int value) : value_(static_cast<double>(value)) {}
+  Json(std::int64_t value) : value_(static_cast<double>(value)) {}
+  Json(std::size_t value) : value_(static_cast<double>(value)) {}
+  Json(const char* value) : value_(std::string(value)) {}
+  Json(std::string value) : value_(std::move(value)) {}
+  Json(JsonArray value) : value_(std::move(value)) {}
+  Json(JsonObject value) : value_(std::move(value)) {}
 
-  Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
-  bool is_bool() const { return type_ == Type::kBool; }
-  bool is_number() const { return type_ == Type::kNumber; }
-  bool is_string() const { return type_ == Type::kString; }
-  bool is_array() const { return type_ == Type::kArray; }
-  bool is_object() const { return type_ == Type::kObject; }
+  /// The variant's alternatives are listed in Type order.
+  Type type() const { return static_cast<Type>(value_.index()); }
+  bool is_null() const { return type() == Type::kNull; }
+  bool is_bool() const { return type() == Type::kBool; }
+  bool is_number() const { return type() == Type::kNumber; }
+  bool is_string() const { return type() == Type::kString; }
+  bool is_array() const { return type() == Type::kArray; }
+  bool is_object() const { return type() == Type::kObject; }
 
   /// Typed accessors; throw InvalidArgument on type mismatch.
   bool as_bool() const;
@@ -85,12 +87,7 @@ class Json {
  private:
   void write(std::string& out, int indent, int depth) const;
 
-  Type type_;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  JsonArray array_;
-  JsonObject object_;
+  std::variant<std::nullptr_t, bool, double, std::string, JsonArray, JsonObject> value_;
 };
 
 }  // namespace openei::common

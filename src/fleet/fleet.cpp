@@ -93,8 +93,9 @@ bool Fleet::alive(std::size_t i) const {
 std::size_t Fleet::deploy(const std::string& scenario,
                           const std::string& algorithm, const nn::Model& model,
                           double accuracy) {
-  return router_->deploy(scenario, algorithm, nn::model_to_json(model).dump(),
-                         accuracy);
+  return router_
+      ->deploy(scenario, algorithm, nn::model_to_json(model).dump(), accuracy)
+      .replicas;
 }
 
 }  // namespace openei::fleet

@@ -242,17 +242,17 @@ HttpResponse Router::route(const HttpRequest& request) {
           it != request.query.end()) {
         accuracy = std::stod(it->second);
       }
-      std::size_t replicas;
+      Deployed deployed;
       try {
-        replicas = deploy(scenario->second, algorithm->second, request.body,
+        deployed = deploy(scenario->second, algorithm->second, request.body,
                           accuracy);
       } catch (const Error& e) {
         return HttpResponse::json(
             400, std::string(R"({"error":")") + e.what() + "\"}");
       }
       Json out{JsonObject{}};
-      out.set("deployed", Json::parse(request.body).at("name").as_string());
-      out.set("replicas", replicas);
+      out.set("deployed", deployed.name);
+      out.set("replicas", deployed.replicas);
       return HttpResponse::json(201, out.dump());
     }
     if (request.method == "DELETE" && segments.size() == 2) {
@@ -426,31 +426,46 @@ HttpResponse Router::undeploy(const std::string& name,
   return last;
 }
 
-std::size_t Router::deploy(const std::string& scenario,
-                           const std::string& algorithm,
-                           const std::string& model_json, double accuracy) {
+Router::Deployed Router::deploy(const std::string& scenario,
+                                const std::string& algorithm,
+                                const std::string& model_json, double accuracy) {
   // The model's own name keys the tracked table; parse it once up front so a
   // malformed body fails before any node sees it.
-  Json doc = Json::parse(model_json);
-  std::string name = doc.at("name").as_string();
+  Deployed deployed{Json::parse(model_json).at("name").as_string()};
+  TrackedModel model{scenario, algorithm, model_json, accuracy};
+  std::lock_guard<std::mutex> sweep(replicate_mutex_);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    tracked_[name] =
-        TrackedModel{scenario, algorithm, model_json, accuracy};
+    tracked_[deployed.name] = model;
   }
-  replicate_tracked_models();
-  // Report how many owners hold it now (replicate pushed to the missing).
-  std::vector<std::string> owners = owners_of(scenario + '/' + algorithm);
-  std::size_t placed = 0;
-  for (const std::string& node_id : owners) {
-    const Member* member = find_member(node_id);
-    try {
-      net::HttpClient check(member->endpoint.port, options_.client.deadline_s);
-      if (check.get("/ei_models/" + name).status == 200) ++placed;
-    } catch (const IoError&) {
+  // Every owner gets the body, not only those missing the name: new weights
+  // under a name an owner already holds are a hot-swap.
+  for (const std::string& node_id : owners_of(scenario + '/' + algorithm)) {
+    if (push_model(node_id, find_member(node_id)->endpoint.port, model)) {
+      ++deployed.replicas;
     }
   }
-  return placed;
+  return deployed;
+}
+
+bool Router::push_model(const std::string& node_id, std::uint16_t port,
+                        const TrackedModel& model) {
+  try {
+    net::HttpClient client(port, options_.client.deadline_s);
+    HttpResponse response = client.post(
+        "/ei_models?scenario=" + model.scenario +
+            "&algorithm=" + model.algorithm +
+            "&accuracy=" + std::to_string(model.accuracy),
+        model.model_json);
+    if (response.status != 201) return false;
+    meter_.counter("ei_fleet_replications_total", {{"node", node_id}})
+        .increment();
+    return true;
+  } catch (const IoError&) {
+    // Dead target: the owner set will change (or the node will come back)
+    // and the next sweep repairs it.
+    return false;
+  }
 }
 
 void Router::replicate_tracked_models() {
@@ -507,22 +522,7 @@ void Router::replicate_tracked_models() {
     for (const auto& [node_id, port] : owners_by_key[key]) {
       const std::vector<std::string>& held = present[node_id];
       if (std::find(held.begin(), held.end(), name) != held.end()) continue;
-      try {
-        net::HttpClient client(port, options_.client.deadline_s);
-        HttpResponse response = client.post(
-            "/ei_models?scenario=" + model.scenario +
-                "&algorithm=" + model.algorithm +
-                "&accuracy=" + std::to_string(model.accuracy),
-            model.model_json);
-        if (response.status == 201) {
-          meter_
-              .counter("ei_fleet_replications_total", {{"node", node_id}})
-              .increment();
-        }
-      } catch (const IoError&) {
-        // Dead target: the owner set will change (or the node will come
-        // back) and the next sweep repairs it.
-      }
+      push_model(node_id, port, model);
     }
   }
 }

@@ -116,11 +116,18 @@ class Router {
   net::HttpResponse route(const std::string& method, const std::string& target,
                           const std::string& body = "");
 
+  /// The model name a deploy read from its body, and how many owners
+  /// accepted it.
+  struct Deployed {
+    std::string name;
+    std::size_t replicas = 0;
+  };
   /// Deploys a model (as serialized JSON) to every owner of its placement
   /// key "scenario/algorithm" and tracks it for re-replication on
-  /// rebalance.  Returns the number of owners that accepted it.
-  std::size_t deploy(const std::string& scenario, const std::string& algorithm,
-                     const std::string& model_json, double accuracy);
+  /// rebalance.  Every owner gets the body, so new weights under a name the
+  /// owners already hold hot-swap them.
+  Deployed deploy(const std::string& scenario, const std::string& algorithm,
+                  const std::string& model_json, double accuracy);
 
   // --- Health -----------------------------------------------------------
   /// Probes every down node right now; a node that answers is failed back
@@ -188,6 +195,9 @@ class Router {
   /// Pushes every tracked model to owners currently missing it.  Takes and
   /// releases mutex_ internally for snapshots; network I/O runs unlocked.
   void replicate_tracked_models();
+  /// POSTs one tracked model to a node; true when the node accepted it.
+  bool push_model(const std::string& node_id, std::uint16_t port,
+                  const TrackedModel& model);
   /// Count-gated probe trigger on the route path.
   void maybe_probe();
 
@@ -203,7 +213,8 @@ class Router {
   std::map<std::string, TrackedModel> tracked_;  // by model name
   std::size_t down_count_ = 0;
   std::size_t requests_since_probe_ = 0;
-  // Serializes re-replication sweeps (they do HTTP I/O outside mutex_).
+  // Serializes re-replication sweeps and deploy pushes (they do HTTP I/O
+  // outside mutex_), so a sweep never lands a stale body after a deploy.
   std::mutex replicate_mutex_;
 
   std::unique_ptr<net::HttpServer> server_;

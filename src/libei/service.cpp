@@ -75,6 +75,8 @@ EiService::EiService(runtime::ModelRegistry& registry, datastore::SensorStore& s
                   "Resident-session byte budget derived from device RAM");
   meter_.describe("ei_model_swaps_total",
                   "Model hot-swaps (POST over an existing name)");
+  meter_.describe("ei_model_parse_seconds",
+                  "Decoding a POST /ei_models body (JSON parse + model build)");
   meter_.describe("ei_model_rollbacks_total",
                   "Rollbacks restoring the prior model version");
   meter_.describe("ei_request_latency_seconds",
@@ -1017,7 +1019,9 @@ HttpResponse EiService::handle_models(const HttpRequest& request,
     if (scenario == request.query.end() || algorithm == request.query.end()) {
       throw ParseError("model deployment needs scenario and algorithm");
     }
+    common::Stopwatch parse_timer;
     nn::Model model = nn::model_from_json(Json::parse(request.body));
+    meter_.histogram("ei_model_parse_seconds").record(parse_timer.elapsed_seconds());
     runtime::ModelEntry entry{scenario->second, algorithm->second,
                               std::move(model),
                               query_double(request.query, "accuracy", 0.0)};

@@ -1,6 +1,11 @@
 // Unit tests for src/common: errors, strings, JSON codec, RNG, clocks.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+
 #include "common/clock.h"
 #include "common/error.h"
 #include "common/json.h"
@@ -138,6 +143,45 @@ TEST(JsonTest, RejectsMalformedInput) {
   EXPECT_THROW(Json::parse("\"unterminated"), ParseError);
   EXPECT_THROW(Json::parse("1 2"), ParseError);
   EXPECT_THROW(Json::parse("--3"), ParseError);
+}
+
+std::uint64_t bits_of(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+TEST(JsonTest, NumbersParseLikeStrtod) {
+  const std::vector<std::string> tokens = {
+      "0", "7", "3.5", "-17.25", "0.001", "123456.789",        // fixed point
+      "0.10000000000000001", "-0.33333333333333331",           // %.17g
+      "3.1415926535897931", "1.7976931348623157e+308",
+      "1e3", "1E3", "2.5e+10", "-4.75E-7", "6.02214076e23",    // exponents
+      "-0", "-0.0",                                            // signed zero
+      "9007199254740991", "-9007199254740991",                 // +-(2^53 - 1)
+      "1e300", "-1e300", "1e-300", "-1e-300",
+      "4.9406564584124654e-324", "2.2250738585072009e-308",    // subnormals
+      "1e999", "-1e999",                                       // overflow
+      "1e-400", "-1e-400",                                     // underflow
+  };
+  for (const std::string& token : tokens) {
+    double expected = std::strtod(token.c_str(), nullptr);
+    EXPECT_EQ(bits_of(Json::parse(token).as_number()), bits_of(expected)) << token;
+    // Inside an array the numeric-run path converts it.
+    EXPECT_EQ(bits_of(Json::parse("[" + token + "]").at(0).as_number()),
+              bits_of(expected))
+        << token;
+  }
+  EXPECT_TRUE(std::isinf(Json::parse("1e999").as_number()));
+  EXPECT_TRUE(std::signbit(Json::parse("-0").as_number()));
+}
+
+TEST(JsonTest, RejectsMalformedNumbers) {
+  for (const std::string token : {"1e", "1e+", "-", "-e5"}) {
+    EXPECT_THROW(Json::parse(token), ParseError) << token;
+    EXPECT_THROW(Json::parse("[" + token + "]"), ParseError) << token;
+    EXPECT_THROW(Json::parse("[1," + token + "]"), ParseError) << token;
+  }
 }
 
 TEST(JsonTest, DeepNestingIsRejectedNotStackOverflowed) {

@@ -709,6 +709,45 @@ TEST(FleetTest, FrontDoorDeployAndUndeployManageTheOwnerSet) {
   EXPECT_EQ(client.del("/ei_models/det").status, 404);  // no longer tracked
 }
 
+TEST(FleetTest, FrontDoorHotSwapReachesEveryOwner) {
+  Fleet fleet(small_fleet(4, 2));
+  std::uint16_t port = fleet.router().start_server();
+  net::HttpClient client(port);
+  const std::string target =
+      "/ei_models?scenario=safety&algorithm=detection&accuracy=0.9";
+
+  std::string original = nn::model_to_json(make_constant_model("det", 1)).dump();
+  ASSERT_EQ(client.post(target, original).status, 201);
+  // New weights under the same name: every owner must swap, not only the
+  // router's tracked copy.
+  Json swapped = nn::model_to_json(make_constant_model("det", 2));
+  net::HttpResponse deployed = client.post(target, swapped.dump());
+  ASSERT_EQ(deployed.status, 201);
+  EXPECT_EQ(Json::parse(deployed.body).at("deployed").as_string(), "det");
+  EXPECT_EQ(Json::parse(deployed.body).at("replicas").as_int(), 2);
+
+  std::vector<std::string> owners = fleet.router().owners_of("safety/detection");
+  ASSERT_EQ(owners.size(), 2U);
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    if (std::find(owners.begin(), owners.end(), fleet.node_id(i)) == owners.end()) {
+      continue;
+    }
+    net::HttpClient direct(fleet.port(i));
+    net::HttpResponse model = direct.get("/ei_models/det");
+    ASSERT_EQ(model.status, 200) << fleet.node_id(i);
+    EXPECT_EQ(Json::parse(model.body).at("model"), swapped) << fleet.node_id(i);
+    net::HttpResponse answer =
+        direct.get(std::string("/ei_algorithms/safety/detection") + kInput);
+    ASSERT_EQ(answer.status, 200) << fleet.node_id(i);
+    EXPECT_EQ(predictions_of(answer), (std::vector<std::size_t>{2, 2}))
+        << fleet.node_id(i);
+  }
+  net::HttpResponse routed =
+      client.get(std::string("/ei_algorithms/safety/detection") + kInput);
+  ASSERT_EQ(routed.status, 200);
+  EXPECT_EQ(predictions_of(routed), (std::vector<std::size_t>{2, 2}));
+}
+
 // --- Concurrency ----------------------------------------------------------
 
 TEST(FleetTest, ServesEveryRequestThroughAKillReviveCycleUnderLoad) {

@@ -234,6 +234,22 @@ TEST(EdgeNodeTest, DeployAndPlayOnAnyProfile) {
   EXPECT_EQ(doc.at("device").as_string(), "jetson-tx2");
 }
 
+TEST(EdgeNodeTest, ModelDeployRecordsItsParseTime) {
+  // A hot-swap's cost is mostly decoding the body, so POST /ei_models times
+  // it into an always-on histogram.
+  Rng rng(43);
+  core::EdgeNode node(core::EdgeNodeConfig{hwsim::jetson_tx2(),
+                                           hwsim::lite_framework(), 64});
+  std::string body = nn::save_model(nn::zoo::make_mlp("m", 4, 2, {8}, rng));
+  ASSERT_EQ(node.call("POST", "/ei_models?scenario=home&algorithm=power_monitor",
+                      body)
+                .status,
+            201);
+  std::string metrics = node.call("GET", "/ei_metrics").body;
+  EXPECT_NE(metrics.find("ei_model_parse_seconds_count 1\n"), std::string::npos)
+      << metrics;
+}
+
 TEST(EdgeNodeTest, ServerLifecycleGuards) {
   core::EdgeNode node(core::EdgeNodeConfig{hwsim::raspberry_pi_3(),
                                            hwsim::openei_package(), 16});

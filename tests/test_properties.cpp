@@ -6,6 +6,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -544,6 +547,83 @@ TEST_P(JsonProperty, MetricsJsonMatchesRecordedSeries) {
       EXPECT_NO_THROW(std::stod(line.substr(space + 1))) << line;
     }
     start = end + 1;
+  }
+}
+
+/// Writes a random array to `text` and returns the tree it should parse to,
+/// each number converted on its own by strtod.  Mixed arrays interleave
+/// strings, literals and nested arrays with the numbers.
+common::Json random_array_text(Rng& rng, int depth, std::string& text) {
+  common::JsonArray expected;
+  bool mixed = rng.flip(0.5);
+  text += rng.flip(0.2) ? "[ " : "[";
+  std::size_t n = static_cast<std::size_t>(rng.uniform_int(0, 12));
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0) text += rng.flip(0.2) ? " ,\n" : ",";
+    int kind = mixed ? rng.uniform_int(0, 3) : 0;
+    if (kind == 3 && depth <= 0) kind = 0;
+    char token[48];
+    switch (kind) {
+      case 0:
+        // %.17g as the model writer emits, exponent and fixed forms, a
+        // leading minus (-0 included) and plain integers.
+        switch (rng.uniform_int(0, 4)) {
+          case 0: std::snprintf(token, sizeof(token), "%.17g", random_number(rng)); break;
+          case 1: std::snprintf(token, sizeof(token), "%.6E", random_number(rng)); break;
+          case 2: std::snprintf(token, sizeof(token), "%.5f", rng.uniform(-10.0, 10.0)); break;
+          case 3:
+            std::snprintf(token, sizeof(token), "-%.17g", std::fabs(random_number(rng)));
+            break;
+          default:
+            std::snprintf(token, sizeof(token), "%lld",
+                          static_cast<long long>(rng.uniform_int(-99999, 99999)));
+            break;
+        }
+        text += token;
+        expected.emplace_back(std::strtod(token, nullptr));
+        break;
+      case 1: text += "\"x\""; expected.emplace_back("x"); break;
+      case 2: text += "null"; expected.emplace_back(nullptr); break;
+      default: expected.push_back(random_array_text(rng, depth - 1, text)); break;
+    }
+  }
+  text += rng.flip(0.2) ? " ]" : "]";
+  return common::Json(std::move(expected));
+}
+
+/// Tree equality with numbers compared bit for bit (so -0 differs from 0).
+bool same_bits(const common::Json& a, const common::Json& b) {
+  if (a.type() != b.type()) return false;
+  if (a.is_number()) {
+    double x = a.as_number();
+    double y = b.as_number();
+    return std::memcmp(&x, &y, sizeof(double)) == 0;
+  }
+  if (!a.is_array()) return a == b;
+  if (a.as_array().size() != b.as_array().size()) return false;
+  for (std::size_t i = 0; i < a.as_array().size(); ++i) {
+    if (!same_bits(a.at(i), b.at(i))) return false;
+  }
+  return true;
+}
+
+TEST_P(JsonProperty, NumericArraysMatchElementwiseParse) {
+  using common::Json;
+  using common::JsonArray;
+  EXPECT_TRUE(same_bits(Json::parse(R"([1,2,"x",3])"),
+                        Json(JsonArray{Json(1.0), Json(2.0), Json("x"), Json(3.0)})));
+  EXPECT_TRUE(same_bits(Json::parse("[[1],[2,3]]"),
+                        Json(JsonArray{Json(JsonArray{Json(1.0)}),
+                                       Json(JsonArray{Json(2.0), Json(3.0)})})));
+  EXPECT_TRUE(same_bits(Json::parse("[]"), Json(JsonArray{})));
+
+  Rng rng(GetParam() + 124);
+  for (int i = 0; i < 100; ++i) {
+    std::string text;
+    Json expected = random_array_text(rng, 3, text);
+    Json parsed = Json::parse(text);
+    EXPECT_TRUE(same_bits(parsed, expected)) << text;
+    EXPECT_EQ(parsed.dump(), expected.dump()) << text;
   }
 }
 
