@@ -3,7 +3,10 @@
 // post-training calibrated int8 quantization, then reports single-sample
 // p50/p95 latency (served through InferenceSession, i.e. the zero-alloc
 // forward arena), ops/sec, weight storage bytes, and float-vs-int8 top-1
-// agreement.  Writes BENCH_quant.json so CI can archive the trajectory.
+// agreement.  For mini-VGG it also prints the arena's per-step median table
+// (float and int8, one row) and `gemm_share`: gemm_packed alone at each
+// fp32 layer's GEMM shape, summed, over the fp32 forward p50.  Writes
+// BENCH_quant.json so CI can archive the trajectory.
 //
 // Usage: bench_quant [--quick] [--out PATH]
 //   --quick  fewer reps / smaller training budget (CI smoke job)
@@ -28,10 +31,14 @@
 #include "data/synthetic.h"
 #include "hwsim/device.h"
 #include "hwsim/package.h"
+#include "nn/conv.h"
+#include "nn/dense.h"
 #include "nn/train.h"
 #include "nn/zoo.h"
+#include "runtime/arena.h"
 #include "runtime/inference.h"
 #include "tensor/ops.h"
+#include "tensor/pack.h"
 
 namespace openei::bench {
 namespace {
@@ -128,19 +135,84 @@ Json stats_to_json(const LatencyStats& stats, std::size_t weight_bytes) {
                          {"weight_bytes", Json(weight_bytes)}});
 }
 
+double median(std::vector<double> values) {
+  std::nth_element(values.begin(), values.begin() + values.size() / 2,
+                   values.end());
+  return values[values.size() / 2];
+}
+
+/// Per-step medians of one single-row arena forward, printed and returned
+/// as [{label, median_us}].
+Json step_table(const char* engine, nn::Model& model, const Tensor& single,
+                std::size_t reps) {
+  auto arena = runtime::ForwardArena::plan(model);
+  auto steps = arena->profile(single.data().data(), 1, reps);
+  std::printf("\n%s forward, per step (1 row, median of %zu):\n", engine, reps);
+  JsonArray rows;
+  double total = 0.0;
+  for (const auto& step : steps) {
+    std::printf("  %-48s %9.1f us\n", step.label.c_str(), step.median_us);
+    total += step.median_us;
+    rows.push_back(Json(JsonObject{{"label", Json(step.label)},
+                                   {"median_us", Json(step.median_us)}}));
+  }
+  std::printf("  %-48s %9.1f us\n", "sum of step medians", total);
+  return Json(JsonObject{{"steps", Json(std::move(rows))},
+                         {"sum_us", Json(total)}});
+}
+
+/// Median µs of gemm_packed alone at every GEMM shape `model` runs for one
+/// sample (a conv: [out_h*out_w, in_c*k*k] x [.., out_c]; a dense: one row).
+double gemm_alone_us(const nn::Model& model, std::size_t reps) {
+  common::Rng rng(47);
+  double sum = 0.0;
+  for (std::size_t i = 0; i < model.layer_count(); ++i) {
+    std::size_t m = 0, k = 0, n = 0;
+    if (const auto* conv = dynamic_cast<const nn::Conv2d*>(&model.layer(i))) {
+      Shape out = model.shape_after(i + 1);
+      const tensor::Conv2dSpec& spec = conv->spec();
+      m = out.dim(1) * out.dim(2);
+      k = spec.in_channels * spec.kernel * spec.kernel;
+      n = spec.out_channels;
+    } else if (const auto* dense =
+                   dynamic_cast<const nn::Dense*>(&model.layer(i))) {
+      m = 1;
+      k = dense->in_features();
+      n = dense->out_features();
+    } else {
+      continue;
+    }
+    std::vector<float> a(m * k), b(k * n), bias(n), c(m * n);
+    for (float& v : a) v = rng.uniform_float(-1.0F, 1.0F);
+    for (float& v : b) v = rng.uniform_float(-1.0F, 1.0F);
+    tensor::PackedMatrix packed = tensor::PackedMatrix::pack(b.data(), k, n);
+    std::vector<double> us;
+    for (std::size_t r = 0; r < reps + 20; ++r) {
+      common::Stopwatch watch;
+      tensor::gemm_packed(a.data(), m, packed, bias.data(), true, false,
+                          c.data());
+      if (r >= 20) us.push_back(watch.elapsed_seconds() * 1e6);
+    }
+    sum += median(std::move(us));
+  }
+  return sum;
+}
+
 struct WorkloadResult {
   Json json;
   double p50_speedup = 0.0;
   double weight_ratio = 0.0;
   double agreement = 0.0;
+  double gemm_share = 0.0;
 };
 
 /// Shared measurement tail once a trained float model + probe/calibration
 /// tensors exist: quantize, compare storage, agreement, then serve both
-/// models single-sample through sessions and compare p50.
+/// models single-sample through sessions and compare p50.  `step_reps` > 0
+/// adds the per-step tables and gemm_share.
 WorkloadResult run_workload(const std::string& name, nn::Model model,
                             const Tensor& calibration, const Tensor& probes,
-                            std::size_t reps) {
+                            std::size_t reps, std::size_t step_reps = 0) {
   section(name);
   compress::CompressedModel quantized =
       compress::quantize_int8(model, calibration);
@@ -153,6 +225,13 @@ WorkloadResult run_workload(const std::string& name, nn::Model model,
   double agreement = top1_agreement(model, quantized.model, probes);
 
   std::vector<Tensor> singles = slice_singles(probes, 64);
+  Json steps(JsonObject{});
+  double gemm_us = 0.0;
+  if (step_reps > 0) {
+    steps.set("float", step_table("float", model, singles[0], step_reps));
+    steps.set("int8", step_table("int8", quantized.model, singles[0], step_reps));
+    gemm_us = gemm_alone_us(model, step_reps);
+  }
   runtime::InferenceSession float_session(
       std::move(model), hwsim::openei_package(), hwsim::raspberry_pi_4());
   runtime::InferenceSession int8_session(std::move(quantized.model),
@@ -182,6 +261,11 @@ WorkloadResult run_workload(const std::string& name, nn::Model model,
   result.p50_speedup = p50_speedup;
   result.weight_ratio = weight_ratio;
   result.agreement = agreement;
+  if (step_reps > 0) {
+    result.gemm_share = gemm_us / (float_stats.p50_ms * 1e3);
+    std::printf("gemm_share %.2f (gemm_packed alone %.1f us / float p50)\n",
+                result.gemm_share, gemm_us);
+  }
   result.json = Json(JsonObject{
       {"name", Json(name)},
       {"reps", Json(reps)},
@@ -192,6 +276,10 @@ WorkloadResult run_workload(const std::string& name, nn::Model model,
       {"top1_agreement", Json(agreement)},
       {"agreement_samples", Json(probes.shape().dim(0))},
   });
+  if (step_reps > 0) {
+    result.json.set("steps", std::move(steps));
+    result.json.set("gemm_share", result.gemm_share);
+  }
   return result;
 }
 
@@ -235,7 +323,8 @@ WorkloadResult run_cnn(const Config& config) {
                                     spec.classes, probe_rng)
                       .features;
   return run_workload("mini-VGG 3x16x16->4", std::move(model), calibration,
-                      probes, config.quick ? 30 : 200);
+                      probes, config.quick ? 30 : 200,
+                      config.quick ? 300 : 3000);
 }
 
 int run(const Config& config) {
@@ -259,6 +348,8 @@ int run(const Config& config) {
       {"p50_speedup", Json(std::min(mlp.p50_speedup, cnn.p50_speedup))},
       {"weight_ratio", Json(std::min(mlp.weight_ratio, cnn.weight_ratio))},
       {"top1_agreement", Json(std::min(mlp.agreement, cnn.agreement))},
+      // The fp32 mini-VGG forward's kernel share (E18).
+      {"gemm_share", Json(cnn.gemm_share)},
   });
   // int8-vs-float on the same host is a fair comparison whenever the run
   // used full rep counts.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/clock.h"
 #include "common/error.h"
 #include "common/parallel.h"
 #include "nn/activations.h"
@@ -98,7 +99,51 @@ std::size_t ForwardArena::plan_conv(const nn::Conv2d& conv,
   return out_buf;
 }
 
+namespace {
+
+std::string dims(const tensor::Shape& shape) {
+  std::string out;
+  for (std::size_t d : shape.dims()) {
+    out += (out.empty() ? "" : "x") + std::to_string(d);
+  }
+  return out;
+}
+
+/// Kernel size of a convolution-family layer, 0 for any other layer.
+std::size_t kernel_of(const nn::Layer& layer) {
+  if (const auto* c = dynamic_cast<const nn::Conv2d*>(&layer)) return c->spec().kernel;
+  if (const auto* q = dynamic_cast<const nn::QuantizedConv2d*>(&layer)) {
+    return q->spec().kernel;
+  }
+  if (const auto* d = dynamic_cast<const nn::DepthwiseConv2d*>(&layer)) {
+    return d->spec().kernel;
+  }
+  if (const auto* f = dynamic_cast<const nn::FactoredConv2d*>(&layer)) {
+    return f->basis().spec().kernel;
+  }
+  return 0;
+}
+
+}  // namespace
+
 std::optional<std::size_t> ForwardArena::plan_layer(nn::Layer& layer,
+                                                    tensor::Shape& sample,
+                                                    std::size_t in_buf,
+                                                    nn::Layer* next,
+                                                    bool* fused_next) {
+  tensor::Shape in_sample = sample;
+  auto out = plan_steps(layer, sample, in_buf, next, fused_next);
+  if (!out) return out;
+  std::string label = layer.type() + "[" +
+                      std::to_string(ordinals_[layer.type()]++) + "] " +
+                      dims(in_sample) + "->" + dims(sample);
+  if (std::size_t k = kernel_of(layer)) label += " k" + std::to_string(k);
+  if (*fused_next) label += " +relu";
+  labels_.resize(steps_.size(), label);
+  return out;
+}
+
+std::optional<std::size_t> ForwardArena::plan_steps(nn::Layer& layer,
                                                     tensor::Shape& sample,
                                                     std::size_t in_buf,
                                                     nn::Layer* next,
@@ -498,12 +543,37 @@ void ForwardArena::reserve(std::size_t rows) {
   capacity_rows_ = rows;
 }
 
-const float* ForwardArena::run(const float* input, std::size_t rows) {
+void ForwardArena::load(const float* input, std::size_t rows) {
   OPENEI_CHECK(rows > 0, "arena run over zero rows");
   reserve(rows);
   std::copy(input, input + rows * input_elems_, fptr(in_buf_));
+}
+
+const float* ForwardArena::run(const float* input, std::size_t rows) {
+  load(input, rows);
   for (auto& step : steps_) step(*this, rows);
   return fptr(out_buf_);
+}
+
+std::vector<ForwardArena::StepTime> ForwardArena::profile(const float* input,
+                                                          std::size_t rows,
+                                                          std::size_t reps) {
+  OPENEI_CHECK(reps > 0, "arena profile over zero reps");
+  std::vector<std::vector<double>> us(steps_.size(), std::vector<double>(reps));
+  for (std::size_t r = 0; r < reps; ++r) {
+    load(input, rows);
+    for (std::size_t i = 0; i < steps_.size(); ++i) {
+      common::Stopwatch watch;
+      steps_[i](*this, rows);
+      us[i][r] = watch.elapsed_seconds() * 1e6;
+    }
+  }
+  std::vector<StepTime> times;
+  for (std::size_t i = 0; i < steps_.size(); ++i) {
+    std::nth_element(us[i].begin(), us[i].begin() + reps / 2, us[i].end());
+    times.push_back({labels_[i], us[i][reps / 2]});
+  }
+  return times;
 }
 
 void ForwardArena::predict(const float* input, std::size_t rows,

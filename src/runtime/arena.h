@@ -15,8 +15,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "nn/model.h"
@@ -52,6 +54,17 @@ class ForwardArena {
   /// exactly (first maximum wins).
   void predict(const float* input, std::size_t rows, std::size_t* out);
 
+  /// One planned step and its median wall time.
+  struct StepTime {
+    std::string label;  // e.g. "conv2d[1] 16x16x16->16x16x16 k3 +relu"
+    double median_us = 0.0;
+  };
+  /// Runs `reps` forward passes over `rows` samples, timing every step, and
+  /// returns one entry per planned step in execution order.  Leaves the
+  /// same logits as run() in the buffer run() returns.
+  std::vector<StepTime> profile(const float* input, std::size_t rows,
+                                std::size_t reps);
+
   std::size_t input_elems() const { return input_elems_; }
   std::size_t classes() const { return output_per_row_; }
   /// True when some int8 layer has no calibrated input params and so fits
@@ -73,6 +86,8 @@ class ForwardArena {
   /// One compiled layer step; reads/writes arena buffers by index.
   using StepFn = std::function<void(ForwardArena&, std::size_t rows)>;
 
+  /// Grows the buffers to `rows` and copies `input` into the input buffer.
+  void load(const float* input, std::size_t rows);
   std::size_t new_fbuf(std::size_t per_row);
   std::size_t new_qbuf(std::size_t per_row);
   float* fptr(std::size_t idx) { return fbufs_[idx].data.data(); }
@@ -85,8 +100,12 @@ class ForwardArena {
   bool plan_chain(const std::vector<nn::Layer*>& layers, tensor::Shape& sample,
                   std::size_t& cur);
   /// Plans one layer; `next` (may be null) enables the fused-ReLU peephole —
-  /// when taken, *fused_next is set and the caller skips `next`.
+  /// when taken, *fused_next is set and the caller skips `next`.  Labels the
+  /// layer's steps that nested layers (a residual body) did not label.
   std::optional<std::size_t> plan_layer(nn::Layer& layer, tensor::Shape& sample,
+                                        std::size_t in_buf, nn::Layer* next,
+                                        bool* fused_next);
+  std::optional<std::size_t> plan_steps(nn::Layer& layer, tensor::Shape& sample,
                                         std::size_t in_buf, nn::Layer* next,
                                         bool* fused_next);
   /// Shared float-conv planner (Conv2d and both halves of FactoredConv2d).
@@ -99,6 +118,8 @@ class ForwardArena {
   std::vector<FloatBuf> fbufs_;
   std::vector<QuantBuf> qbufs_;
   std::vector<StepFn> steps_;
+  std::vector<std::string> labels_;              // one per step
+  std::map<std::string, std::size_t> ordinals_;  // plan time: layers per type
   std::size_t input_elems_ = 0;
   std::size_t output_per_row_ = 0;
   std::size_t in_buf_ = 0;

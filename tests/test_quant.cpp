@@ -923,6 +923,37 @@ TEST(ArenaTest, DynamicRangeInt8BatchMatchesSoloRuns) {
   }
 }
 
+TEST(ArenaTest, ProfileLabelsEveryStepAndLeavesRunLogits) {
+  Rng rng(113);
+  nn::Model vgg = nn::zoo::make_mini_vgg({3, 16, 4}, rng);
+  auto arena = runtime::ForwardArena::plan(vgg);
+  ASSERT_NE(arena, nullptr);
+  Tensor images = Tensor::random_uniform(Shape{2, 3, 16, 16}, rng, -1.0F, 1.0F);
+  const float* logits = arena->run(images.data().data(), 2);
+  std::vector<float> expected(logits, logits + 2 * arena->classes());
+
+  std::vector<std::string> labels;
+  for (const auto& step : arena->profile(images.data().data(), 2, 5)) {
+    labels.push_back(step.label);
+    EXPECT_GE(step.median_us, 0.0) << step.label;
+  }
+  // Each ReLU folds into the GEMM before it, so it has no step of its own.
+  const std::vector<std::string> planned = {
+      "conv2d[0] 3x16x16->16x16x16 k3 +relu",
+      "conv2d[1] 16x16x16->16x16x16 k3 +relu",
+      "maxpool2d[0] 16x16x16->16x8x8",
+      "conv2d[2] 16x8x8->32x8x8 k3 +relu",
+      "conv2d[3] 32x8x8->32x8x8 k3 +relu",
+      "maxpool2d[1] 32x8x8->32x4x4",
+      "dense[0] 512->96 +relu",
+      "dense[1] 96->4",
+  };
+  EXPECT_EQ(labels, planned);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(logits[i], expected[i]) << "@" << i;
+  }
+}
+
 /// The zero-allocation regression (satellite): after the first call warms the
 /// arena, run() and predict_batch() must not allocate any tensor memory.
 void expect_zero_alloc_steady_state(nn::Model model, const Tensor& batch) {
