@@ -21,6 +21,33 @@ Tensor conv_weight_init(const Conv2dSpec& spec, std::size_t filters,
       Shape{filters, in_per_filter, spec.kernel, spec.kernel}, rng, 0.0F, bound);
 }
 
+/// Quantizes one NHWC image into CHW int8 planes: blocks of whole pixels go
+/// through the vectorized bulk quantizer into an L1-resident buffer, then
+/// spread over the planes (~3x faster than quantize_one per element).
+void quantize_to_planes(const float* image, std::size_t pixels,
+                        std::size_t channels, const tensor::QuantParams& params,
+                        std::int8_t* planes) {
+  constexpr std::size_t kBlock = 1024;
+  if (channels > kBlock) {  // a pixel wider than the block: per element
+    for (std::size_t i = 0; i < pixels * channels; ++i) {
+      planes[i % channels * pixels + i / channels] =
+          tensor::quantize_one(image[i], params);
+    }
+    return;
+  }
+  std::int8_t block[kBlock];
+  const std::size_t step = kBlock / channels;
+  for (std::size_t p0 = 0; p0 < pixels; p0 += step) {
+    const std::size_t count = std::min(step, pixels - p0);
+    tensor::quantize_to_int8(image + p0 * channels, count * channels, params,
+                             block);
+    for (std::size_t c = 0; c < channels; ++c) {
+      std::int8_t* dst = planes + c * pixels + p0;
+      for (std::size_t p = 0; p < count; ++p) dst[p] = block[p * channels + c];
+    }
+  }
+}
+
 }  // namespace
 
 Conv2d::Conv2d(Conv2dSpec spec, common::Rng& rng)
@@ -63,25 +90,11 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   OPENEI_CHECK(grad_output.shape() == Shape({n, spec_.out_channels, out_h, out_w}),
                "conv2d grad_output shape mismatch");
 
-  // Gather grad_output NCHW into the [N*oh*ow, oc] layout used at forward;
-  // each image fills a disjoint row block, so the gather is batch-parallel.
+  // grad_output NCHW -> [N*oh*ow, oc], the layout of the forward GEMM.
   Tensor grad_mat(Shape{n * out_h * out_w, spec_.out_channels});
   std::size_t rows_per_image = out_h * out_w;
-  common::parallel_for(
-      0, n,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t b = lo; b < hi; ++b) {
-          std::size_t row = b * rows_per_image;
-          for (std::size_t oh = 0; oh < out_h; ++oh) {
-            for (std::size_t ow = 0; ow < out_w; ++ow, ++row) {
-              for (std::size_t oc = 0; oc < spec_.out_channels; ++oc) {
-                grad_mat.at2(row, oc) = grad_output.at4(b, oc, oh, ow);
-              }
-            }
-          }
-        }
-      },
-      /*grain=*/1);
+  tensor::gather_to_nhwc(grad_output.data().data(), n, spec_.out_channels,
+                         rows_per_image, grad_mat.data().data());
 
   // dW = (patches^T grad_mat)^T reshaped to [oc, ic, k, k].
   Tensor grad_w_mat =
@@ -191,32 +204,30 @@ std::unique_ptr<QuantizedConv2d> QuantizedConv2d::from_conv(const Conv2d& conv) 
 void QuantizedConv2d::forward_into(const float* input, std::size_t n,
                                    std::size_t in_h, std::size_t in_w,
                                    std::int8_t* input_staging,
-                                   std::int8_t* patch_staging,
-                                   float* gemm_scratch, bool fuse_relu,
+                                   std::int8_t* patch_staging, bool fuse_relu,
                                    float* out) const {
-  std::size_t out_h = spec_.out_size(in_h);
-  std::size_t out_w = spec_.out_size(in_w);
-  std::size_t patch = spec_.in_channels * spec_.kernel * spec_.kernel;
-  std::size_t gemm_rows = n * out_h * out_w;
-  std::size_t input_elems = n * spec_.in_channels * in_h * in_w;
+  std::size_t channels = spec_.in_channels;
+  std::size_t pixels = in_h * in_w;
+  std::size_t gemm_rows = n * spec_.out_size(in_h) * spec_.out_size(in_w);
+  std::size_t patch = channels * spec_.kernel * spec_.kernel;
 
-  tensor::QuantParams params = input_params_
-                                   ? *input_params_
-                                   : tensor::QuantParams::fit(input, input_elems);
-  // Quantize the NCHW input once (each pixel rounds once, not k^2 times),
-  // then gather patches in int8 — transposed [patch, rows], so the gather is
-  // contiguous memcpy/memset runs and the GEMM stages its lane tiles with
-  // in-register byte transposes.  The zero point encodes 0.0 exactly, so
-  // padding matches the float path.
-  tensor::quantize_to_int8(input, input_elems, params, input_staging);
+  tensor::QuantParams params =
+      input_params_ ? *input_params_
+                    : tensor::QuantParams::fit(input, n * channels * pixels);
+  // Quantize the NHWC input once (each pixel rounds once, not k^2 times)
+  // into CHW int8, then gather patches in int8 — transposed [patch, rows],
+  // so the gather is contiguous memcpy/memset runs and the GEMM stages its
+  // lane tiles with in-register byte transposes.  The zero point encodes
+  // 0.0 exactly, so padding matches the float path.
+  for (std::size_t b = 0; b < n; ++b) {
+    quantize_to_planes(input + b * pixels * channels, pixels, channels, params,
+                       input_staging + b * channels * pixels);
+  }
   tensor::im2col_q8t(input_staging, n, in_h, in_w, spec_,
                      static_cast<std::int8_t>(params.zero_point),
                      patch_staging);
   tensor::qgemm_t(patch_staging, gemm_rows, patch, params, packed_,
-                  bias_.data().data(), fuse_relu, gemm_scratch);
-
-  tensor::scatter_to_nchw(gemm_scratch, n, out_h * out_w, spec_.out_channels,
-                          out);
+                  bias_.data().data(), fuse_relu, out);
 }
 
 Tensor QuantizedConv2d::forward(const Tensor& input, bool training) {
@@ -233,12 +244,12 @@ Tensor QuantizedConv2d::forward(const Tensor& input, bool training) {
 
   std::vector<std::int8_t> input_staging(input.elements());
   std::vector<std::int8_t> patch_staging(n * out_h * out_w * patch);
-  std::vector<float> gemm_scratch(n * out_h * out_w * spec_.out_channels);
-  Tensor out(Shape{n, spec_.out_channels, out_h, out_w});
-  forward_into(input.data().data(), n, in_h, in_w, input_staging.data(),
-               patch_staging.data(), gemm_scratch.data(), /*fuse_relu=*/false,
-               out.data().data());
-  return out;
+  return tensor::via_nhwc(input, Shape{n, spec_.out_channels, out_h, out_w},
+                          [&](const float* in, float* out) {
+                            forward_into(in, n, in_h, in_w, input_staging.data(),
+                                         patch_staging.data(),
+                                         /*fuse_relu=*/false, out);
+                          });
 }
 
 Tensor QuantizedConv2d::backward(const Tensor&) {

@@ -44,7 +44,7 @@ class Conv2d : public Layer {
 
 /// Convolution whose weights are stored int8-packed; inference-only.  The
 /// forward path is genuinely quantized (unlike the old fake-quantize
-/// round-trip): the input is quantized to int8 NCHW once, patches are
+/// round-trip): the input is quantized to int8 CHW once, patches are
 /// gathered in int8 (padding gathers the activation zero point — the exact
 /// encoding of 0.0), and the packed [oc, ic*k*k] weights run through the
 /// int8 GEMM with a fused requantize(+bias)(+ReLU) epilogue.
@@ -78,15 +78,15 @@ class QuantizedConv2d : public Layer {
   }
   void set_input_params(tensor::QuantParams params) { input_params_ = params; }
 
-  /// Raw-buffer forward shared by forward() and the zero-alloc arena.
-  /// Caller provides int8 staging for the quantized input
-  /// (n*in_c*in_h*in_w), int8 staging for the gathered patches
-  /// (n*out_h*out_w * in_c*k*k), float scratch for the GEMM result
-  /// ([n*out_h*out_w, out_c]), and the NCHW output buffer.
+  /// Raw-buffer forward shared by forward() and the zero-alloc arena, over
+  /// channels-last activations: `input` is NHWC and `out` receives NHWC
+  /// ([n*out_h*out_w, out_c], the GEMM's own output).  Caller provides int8
+  /// staging for the quantized CHW input (n*in_c*in_h*in_w) and for the
+  /// gathered patches (n*out_h*out_w * in_c*k*k).
   void forward_into(const float* input, std::size_t n, std::size_t in_h,
                     std::size_t in_w, std::int8_t* input_staging,
-                    std::int8_t* patch_staging, float* gemm_scratch,
-                    bool fuse_relu, float* out) const;
+                    std::int8_t* patch_staging, bool fuse_relu,
+                    float* out) const;
 
  private:
   tensor::Conv2dSpec spec_;

@@ -5,9 +5,13 @@
 // forward-pass buffer (layer outputs, im2col patches, int8 staging), and
 // compiles the layer graph into a flat list of steps over those buffers.
 // Steady-state run()/predict() then performs zero heap allocations: buffers
-// are plain grow-only vectors reused across calls, and every step replicates
-// the corresponding layer's per-element arithmetic exactly, so arena output
-// is bit-identical to Model::forward at any thread count.
+// are 64-byte-aligned grow-only vectors reused across calls, and every step
+// replicates the corresponding layer's per-element arithmetic exactly, so
+// arena output is bit-identical to Model::forward at any thread count.
+//
+// Every rank-3 activation in the arena is channels-last (NHWC): load()
+// transposes the NCHW input once, a conv's GEMM output [pixels, out_c] feeds
+// the next layer as is, and Flatten transposes back to CHW feature order.
 //
 // The arena is the only inference executor: InferenceSession refuses a model
 // it cannot plan, and Model::forward serves training and tests.
@@ -21,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/aligned.h"
 #include "nn/model.h"
 
 namespace openei::nn {
@@ -56,7 +61,7 @@ class ForwardArena {
 
   /// One planned step and its median wall time.
   struct StepTime {
-    std::string label;  // e.g. "conv2d[1] 16x16x16->16x16x16 k3 +relu"
+    std::string label;  // e.g. "conv2d[1] [16, 16, 16] -> [16, 16, 16] k3 +relu"
     double median_us = 0.0;
   };
   /// Runs `reps` forward passes over `rows` samples, timing every step, and
@@ -77,16 +82,16 @@ class ForwardArena {
 
   struct FloatBuf {
     std::size_t per_row = 0;
-    std::vector<float> data;
+    common::aligned_vector<float> data;
   };
   struct QuantBuf {
     std::size_t per_row = 0;
-    std::vector<std::int8_t> data;
+    common::aligned_vector<std::int8_t> data;
   };
   /// One compiled layer step; reads/writes arena buffers by index.
   using StepFn = std::function<void(ForwardArena&, std::size_t rows)>;
 
-  /// Grows the buffers to `rows` and copies `input` into the input buffer.
+  /// Grows the buffers to `rows` and loads `input` into the input buffer.
   void load(const float* input, std::size_t rows);
   std::size_t new_fbuf(std::size_t per_row);
   std::size_t new_qbuf(std::size_t per_row);
@@ -105,13 +110,15 @@ class ForwardArena {
   std::optional<std::size_t> plan_layer(nn::Layer& layer, tensor::Shape& sample,
                                         std::size_t in_buf, nn::Layer* next,
                                         bool* fused_next);
-  std::optional<std::size_t> plan_steps(nn::Layer& layer, tensor::Shape& sample,
+  std::optional<std::size_t> plan_steps(nn::Layer& layer,
+                                        const tensor::Shape& sample,
+                                        const tensor::Shape& out_shape,
                                         std::size_t in_buf, nn::Layer* next,
                                         bool* fused_next);
-  /// Shared float-conv planner (Conv2d and both halves of FactoredConv2d).
-  /// Prepacks the im2col weight matrix at plan time; `fuse_relu` folds a
-  /// following ReLU into the GEMM epilogue (applied before the NCHW scatter,
-  /// which is a pure reorder — same values as ReLU after it).
+  /// Shared float-conv planner (Conv2d and both halves of FactoredConv2d):
+  /// channels-last im2col (none for a 1x1 stride-1 unpadded conv) into the
+  /// GEMM with the weights packed at plan time; `fuse_relu` folds a
+  /// following ReLU into the GEMM epilogue.
   std::size_t plan_conv(const nn::Conv2d& conv, const tensor::Shape& in_sample,
                         std::size_t in_buf, bool fuse_relu);
 
@@ -121,6 +128,8 @@ class ForwardArena {
   std::vector<std::string> labels_;              // one per step
   std::map<std::string, std::size_t> ordinals_;  // plan time: layers per type
   std::size_t input_elems_ = 0;
+  // H*W of an image input, which load() turns NHWC; 1 (a plain copy) else.
+  std::size_t input_pixels_ = 1;
   std::size_t output_per_row_ = 0;
   std::size_t in_buf_ = 0;
   std::size_t out_buf_ = 0;

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "common/parallel.h"
 #include "tensor/linalg.h"
-#include "tensor/pack.h"
 
 namespace openei::tensor {
 
@@ -26,12 +26,9 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
 
 Tensor transpose(const Tensor& a) {
   OPENEI_CHECK(a.shape().rank() == 2, "transpose requires rank-2 tensor");
-  std::size_t rows = a.shape().dim(0);
-  std::size_t cols = a.shape().dim(1);
-  Tensor out(Shape{cols, rows});
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) out.at2(c, r) = a.at2(r, c);
-  }
+  Tensor out(Shape{a.shape().dim(1), a.shape().dim(0)});
+  scatter_to_nchw(a.data().data(), 1, a.shape().dim(0), a.shape().dim(1),
+                  out.data().data());
   return out;
 }
 
@@ -203,141 +200,243 @@ void scatter_to_nchw(const float* rows, std::size_t n, std::size_t pixels,
           }
         }
       },
-      /*grain=*/1);
+      /*grain=*/std::max<std::size_t>(
+          1, 4096 / std::max<std::size_t>(1, pixels * channels)));
 }
 
-Tensor conv2d_im2col(const Tensor& input, const Tensor& weights, const Tensor& bias,
-                     const Conv2dSpec& spec) {
-  check_conv_inputs(input, weights, bias, spec, /*depthwise=*/false);
-  std::size_t n = input.shape().dim(0);
-  std::size_t out_h = spec.out_size(input.shape().dim(2));
-  std::size_t out_w = spec.out_size(input.shape().dim(3));
-  std::size_t patch = spec.in_channels * spec.kernel * spec.kernel;
+void im2col_nhwc_into(const float* input, std::size_t n, std::size_t in_h,
+                      std::size_t in_w, const Conv2dSpec& spec, float* out) {
+  const std::size_t channels = spec.in_channels;
+  const std::size_t k = spec.kernel;
+  const std::size_t out_h = spec.out_size(in_h);
+  const std::size_t out_w = spec.out_size(in_w);
+  const std::size_t run = k * channels;  // one kernel row of a patch
+  const std::size_t patch = k * run;
 
-  Tensor patches = im2col(input, spec);                           // [N*oh*ow, patch]
-  Tensor w2 = weights.reshaped(Shape{spec.out_channels, patch});  // [oc, patch]
-  // Pack W^T into kernel panels and run the dispatched microkernels with the
-  // bias fused into the epilogue — the same path the forward arena prepacks,
-  // so the two conv routes stay bitwise-identical.
-  PackedMatrix wp = PackedMatrix::pack_transposed(w2);            // B: [patch, oc]
-  Tensor result(Shape{patches.shape().dim(0), spec.out_channels});
-  gemm_packed(patches.data().data(), patches.shape().dim(0), wp,
-              bias.data().data(), /*fuse_relu=*/false, /*accumulate=*/false,
-              result.data().data());
-
-  Tensor out(Shape{n, spec.out_channels, out_h, out_w});
-  scatter_to_nchw(result.data().data(), n, out_h * out_w, spec.out_channels,
-                  out.data().data());
-  return out;
-}
-
-Tensor depthwise_conv2d(const Tensor& input, const Tensor& weights, const Tensor& bias,
-                        const Conv2dSpec& spec) {
-  check_conv_inputs(input, weights, bias, spec, /*depthwise=*/true);
-  std::size_t n = input.shape().dim(0);
-  std::size_t channels = spec.in_channels;
-  std::size_t out_h = spec.out_size(input.shape().dim(2));
-  std::size_t out_w = spec.out_size(input.shape().dim(3));
-
-  Tensor out(Shape{n, channels, out_h, out_w});
-  // Each (image, channel) plane is independent: disjoint output, per-plane
-  // accumulation order unchanged — bit-identical at any thread count.
   common::parallel_for(
-      0, n * channels,
+      0, n * out_h,
       [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t plane = lo; plane < hi; ++plane) {
-          std::size_t b = plane / channels;
-          std::size_t c = plane % channels;
-          for (std::size_t oh = 0; oh < out_h; ++oh) {
-            for (std::size_t ow = 0; ow < out_w; ++ow) {
+        for (std::size_t slab = lo; slab < hi; ++slab) {
+          const std::size_t b = slab / out_h;
+          const std::size_t oh = slab % out_h;
+          const float* image = input + b * in_h * in_w * channels;
+          float* dst = out + slab * out_w * patch;
+          for (std::size_t ow = 0; ow < out_w; ++ow) {
+            // Kernel columns [kw_lo, kw_hi) land inside the image row.
+            const long iw0 = static_cast<long>(ow * spec.stride) -
+                             static_cast<long>(spec.padding);
+            const auto kw_lo = static_cast<std::size_t>(
+                std::clamp(-iw0, 0L, static_cast<long>(k)));
+            const auto kw_hi = static_cast<std::size_t>(std::clamp(
+                static_cast<long>(in_w) - iw0, static_cast<long>(kw_lo),
+                static_cast<long>(k)));
+            for (std::size_t kh = 0; kh < k; ++kh, dst += run) {
+              const long ih = static_cast<long>(oh * spec.stride + kh) -
+                              static_cast<long>(spec.padding);
+              const bool inside = ih >= 0 && static_cast<std::size_t>(ih) < in_h;
+              const std::size_t lo = (inside ? kw_lo : k) * channels;
+              const std::size_t hi = (inside ? kw_hi : k) * channels;
+              std::fill(dst, dst + lo, 0.0F);
+              if (hi > lo) {
+                const long at = (ih * static_cast<long>(in_w) + iw0) *
+                                    static_cast<long>(channels) +
+                                static_cast<long>(lo);
+                std::memcpy(dst + lo, image + at, (hi - lo) * sizeof(float));
+              }
+              std::fill(dst + hi, dst + run, 0.0F);
+            }
+          }
+        }
+      },
+      /*grain=*/std::max<std::size_t>(
+          1, 4096 / std::max<std::size_t>(1, out_w * patch)));
+}
+
+PackedMatrix pack_conv_weights(const Tensor& weights) {
+  const std::size_t oc = weights.shape().dim(0);
+  const std::size_t ic = weights.shape().dim(1);
+  const std::size_t kk = weights.shape().dim(2) * weights.shape().dim(3);
+  const float* w = weights.data().data();  // [oc, (c, kh, kw)]
+  std::vector<float> b(oc * ic * kk);      // [(kh, kw, c), oc]
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    b[((i % kk) * ic + i / kk % ic) * oc + i / (ic * kk)] = w[i];
+  }
+  return PackedMatrix::pack(b.data(), kk * ic, oc);
+}
+
+void depthwise_nhwc_into(const float* input, std::size_t n, std::size_t in_h,
+                         std::size_t in_w, const float* weights,
+                         const float* bias, const Conv2dSpec& spec,
+                         float* out) {
+  const std::size_t channels = spec.in_channels;
+  const std::size_t k = spec.kernel;
+  const std::size_t out_h = spec.out_size(in_h);
+  const std::size_t out_w = spec.out_size(in_w);
+  // Output rows are independent and each element sums in (kh, kw) order, so
+  // the result is bit-identical at any thread count.
+  common::parallel_for(
+      0, n * out_h,
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t slab = lo; slab < hi; ++slab) {
+          const float* image = input + slab / out_h * in_h * in_w * channels;
+          const std::size_t oh = slab % out_h;
+          float* row = out + slab * out_w * channels;
+          for (std::size_t ow = 0; ow < out_w; ++ow) {
+            for (std::size_t c = 0; c < channels; ++c) {
               double acc = bias[c];
-              for (std::size_t kh = 0; kh < spec.kernel; ++kh) {
-                for (std::size_t kw = 0; kw < spec.kernel; ++kw) {
+              for (std::size_t kh = 0; kh < k; ++kh) {
+                for (std::size_t kw = 0; kw < k; ++kw) {
                   long ih = static_cast<long>(oh * spec.stride + kh) -
                             static_cast<long>(spec.padding);
                   long iw = static_cast<long>(ow * spec.stride + kw) -
                             static_cast<long>(spec.padding);
-                  acc +=
-                      static_cast<double>(input_at_or_zero(input, b, c, ih, iw)) *
-                      weights.at4(c, 0, kh, kw);
+                  bool inside = ih >= 0 && iw >= 0 &&
+                                static_cast<std::size_t>(ih) < in_h &&
+                                static_cast<std::size_t>(iw) < in_w;
+                  float v = inside ? image[(static_cast<std::size_t>(ih) * in_w +
+                                            static_cast<std::size_t>(iw)) *
+                                               channels +
+                                           c]
+                                   : 0.0F;
+                  acc += static_cast<double>(v) * weights[(c * k + kh) * k + kw];
                 }
               }
-              out.at4(b, c, oh, ow) = static_cast<float>(acc);
+              row[ow * channels + c] = static_cast<float>(acc);
             }
           }
         }
       },
       /*grain=*/1);
-  return out;
+}
+
+void pool_nhwc_into(const float* input, std::size_t n, std::size_t h,
+                    std::size_t w, std::size_t channels, std::size_t window,
+                    bool max, float* out) {
+  const std::size_t out_h = h / window;
+  const std::size_t out_w = w / window;
+  auto pixel = [&](std::size_t b, std::size_t y, std::size_t x) {
+    return input + ((b * h + y) * w + x) * channels;
+  };
+  for (std::size_t b = 0; b < n; ++b) {
+    for (std::size_t oh = 0; oh < out_h; ++oh) {
+      for (std::size_t ow = 0; ow < out_w; ++ow, out += channels) {
+        // Max starts from the window's first value; average sums from 0 in
+        // (kh, kw) order, then divides by the window size.
+        if (max) {
+          std::copy_n(pixel(b, oh * window, ow * window), channels, out);
+        } else {
+          std::fill_n(out, channels, 0.0F);
+        }
+        for (std::size_t kh = 0; kh < window; ++kh) {
+          for (std::size_t kw = 0; kw < window; ++kw) {
+            const float* v = pixel(b, oh * window + kh, ow * window + kw);
+            if (max) {
+              for (std::size_t c = 0; c < channels; ++c) {
+                out[c] = v[c] > out[c] ? v[c] : out[c];
+              }
+            } else {
+              for (std::size_t c = 0; c < channels; ++c) out[c] += v[c];
+            }
+          }
+        }
+        if (!max) {
+          const auto count = static_cast<float>(window * window);
+          for (std::size_t c = 0; c < channels; ++c) out[c] /= count;
+        }
+      }
+    }
+  }
+}
+
+void global_avgpool_nhwc_into(const float* input, std::size_t n,
+                              std::size_t pixels, std::size_t channels,
+                              float* out) {
+  for (std::size_t b = 0; b < n; ++b) {
+    const float* image = input + b * pixels * channels;
+    for (std::size_t c = 0; c < channels; ++c) {
+      double acc = 0.0;
+      for (std::size_t i = 0; i < pixels; ++i) acc += image[i * channels + c];
+      out[b * channels + c] =
+          static_cast<float>(acc / static_cast<double>(pixels));
+    }
+  }
 }
 
 namespace {
 
-template <typename Reduce>
-Tensor pool2d(const Tensor& input, std::size_t window, float init, Reduce reduce,
-              bool average) {
+Tensor pool2d(const Tensor& input, std::size_t window, bool max) {
   OPENEI_CHECK(input.shape().rank() == 4, "pooling input must be NCHW");
   OPENEI_CHECK(window > 0, "zero pooling window");
-  std::size_t n = input.shape().dim(0);
-  std::size_t c = input.shape().dim(1);
-  std::size_t h = input.shape().dim(2);
-  std::size_t w = input.shape().dim(3);
+  const std::size_t n = input.shape().dim(0);
+  const std::size_t c = input.shape().dim(1);
+  const std::size_t h = input.shape().dim(2);
+  const std::size_t w = input.shape().dim(3);
   OPENEI_CHECK(h >= window && w >= window, "pooling window ", window,
                " larger than input ", h, "x", w);
-  std::size_t out_h = h / window;
-  std::size_t out_w = w / window;
-
-  Tensor out(Shape{n, c, out_h, out_w});
-  for (std::size_t b = 0; b < n; ++b) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      for (std::size_t oh = 0; oh < out_h; ++oh) {
-        for (std::size_t ow = 0; ow < out_w; ++ow) {
-          float acc = init;
-          for (std::size_t kh = 0; kh < window; ++kh) {
-            for (std::size_t kw = 0; kw < window; ++kw) {
-              acc = reduce(acc, input.at4(b, ch, oh * window + kh, ow * window + kw));
-            }
-          }
-          if (average) acc /= static_cast<float>(window * window);
-          out.at4(b, ch, oh, ow) = acc;
-        }
-      }
-    }
-  }
-  return out;
+  return via_nhwc(input, Shape{n, c, h / window, w / window},
+                  [&](const float* in, float* out) {
+                    pool_nhwc_into(in, n, h, w, c, window, max, out);
+                  });
 }
 
 }  // namespace
 
+Tensor conv2d_im2col(const Tensor& input, const Tensor& weights, const Tensor& bias,
+                     const Conv2dSpec& spec) {
+  check_conv_inputs(input, weights, bias, spec, /*depthwise=*/false);
+  const std::size_t n = input.shape().dim(0);
+  const std::size_t in_h = input.shape().dim(2);
+  const std::size_t in_w = input.shape().dim(3);
+  const std::size_t out_h = spec.out_size(in_h);
+  const std::size_t out_w = spec.out_size(in_w);
+  const std::size_t rows = n * out_h * out_w;
+  // The forward arena's conv step: the same gather and weight pack feed the
+  // same GEMM, so the two conv routes stay bitwise-identical.
+  return via_nhwc(
+      input, Shape{n, spec.out_channels, out_h, out_w},
+      [&](const float* in, float* out) {
+        Tensor patches(Shape{rows, spec.in_channels * spec.kernel * spec.kernel});
+        im2col_nhwc_into(in, n, in_h, in_w, spec, patches.data().data());
+        gemm_packed(patches.data().data(), rows, pack_conv_weights(weights),
+                    bias.data().data(), /*fuse_relu=*/false,
+                    /*accumulate=*/false, out);
+      });
+}
+
+Tensor depthwise_conv2d(const Tensor& input, const Tensor& weights, const Tensor& bias,
+                        const Conv2dSpec& spec) {
+  check_conv_inputs(input, weights, bias, spec, /*depthwise=*/true);
+  const std::size_t n = input.shape().dim(0);
+  const std::size_t in_h = input.shape().dim(2);
+  const std::size_t in_w = input.shape().dim(3);
+  return via_nhwc(input,
+                  Shape{n, spec.in_channels, spec.out_size(in_h),
+                        spec.out_size(in_w)},
+                  [&](const float* in, float* out) {
+                    depthwise_nhwc_into(in, n, in_h, in_w,
+                                        weights.data().data(),
+                                        bias.data().data(), spec, out);
+                  });
+}
+
 Tensor maxpool2d(const Tensor& input, std::size_t window) {
-  return pool2d(
-      input, window, -std::numeric_limits<float>::infinity(),
-      [](float a, float b) { return std::max(a, b); }, /*average=*/false);
+  return pool2d(input, window, /*max=*/true);
 }
 
 Tensor avgpool2d(const Tensor& input, std::size_t window) {
-  return pool2d(
-      input, window, 0.0F, [](float a, float b) { return a + b; }, /*average=*/true);
+  return pool2d(input, window, /*max=*/false);
 }
 
 Tensor global_avgpool(const Tensor& input) {
   OPENEI_CHECK(input.shape().rank() == 4, "global_avgpool input must be NCHW");
-  std::size_t n = input.shape().dim(0);
-  std::size_t c = input.shape().dim(1);
-  std::size_t hw = input.shape().dim(2) * input.shape().dim(3);
-  Tensor out(Shape{n, c});
-  for (std::size_t b = 0; b < n; ++b) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      double acc = 0.0;
-      for (std::size_t h = 0; h < input.shape().dim(2); ++h) {
-        for (std::size_t w = 0; w < input.shape().dim(3); ++w) {
-          acc += input.at4(b, ch, h, w);
-        }
-      }
-      out.at2(b, ch) = static_cast<float>(acc / static_cast<double>(hw));
-    }
-  }
-  return out;
+  const std::size_t n = input.shape().dim(0);
+  const std::size_t c = input.shape().dim(1);
+  const std::size_t pixels = input.shape().dim(2) * input.shape().dim(3);
+  return via_nhwc(input, Shape{n, c, 1, 1},
+                  [&](const float* in, float* out) {
+                    global_avgpool_nhwc_into(in, n, pixels, c, out);
+                  })
+      .reshaped(Shape{n, c});
 }
 
 Tensor softmax_rows(const Tensor& logits) {

@@ -2,11 +2,13 @@
 //
 // Convolution is implemented both directly and via im2col+matmul; the two
 // paths are property-tested for equivalence and the matmul path is what the
-// FLOP-based hardware cost model (src/hwsim) assumes.
+// FLOP-based hardware cost model (src/hwsim) assumes.  Tensors are NCHW;
+// the inference kernels underneath run channels-last (NHWC).
 #pragma once
 
 #include <cstddef>
 
+#include "tensor/pack.h"
 #include "tensor/tensor.h"
 
 namespace openei::tensor {
@@ -38,25 +40,74 @@ struct Conv2dSpec {
 Tensor conv2d(const Tensor& input, const Tensor& weights, const Tensor& bias,
               const Conv2dSpec& spec);
 
-/// im2col patch extraction: input NCHW -> [N*out_h*out_w, in_c*k*k].
+/// im2col patch extraction: input NCHW -> [N*out_h*out_w, in_c*k*k], patch
+/// order (c, kh, kw).  Training caches it for Conv2d::backward.
 Tensor im2col(const Tensor& input, const Conv2dSpec& spec);
 
 /// Raw-buffer im2col into a caller-provided [n*out_h*out_w, in_c*k*k] buffer
-/// (no allocation — the form the forward arena uses; `im2col` delegates
-/// here, so the two produce identical values).
+/// (`im2col` delegates here, so the two produce identical values).
 void im2col_into(const float* input, std::size_t n, std::size_t in_h,
                  std::size_t in_w, const Conv2dSpec& spec, float* out);
 
-/// Scatters a conv GEMM result — [n*pixels, channels] row-major, one row per
-/// output pixel — into NCHW `out` ([n, channels, pixels]).  Images write
-/// disjoint slices in parallel.  The fp32 conv, the forward arena's conv
-/// step and the int8 conv all end with it.
+/// Channels-last im2col: NHWC input into [n*out_h*out_w, k*k*in_c], patch
+/// order (kh, kw, c).  Each (output pixel, kh) pair is one contiguous run of
+/// up to k*in_c floats; padding zero-fills the run's edges.
+void im2col_nhwc_into(const float* input, std::size_t n, std::size_t in_h,
+                      std::size_t in_w, const Conv2dSpec& spec, float* out);
+
+/// Packs conv weights [out_c, in_c, k, k] as the [k*k*in_c, out_c] GEMM
+/// operand of channels-last patches ((kh, kw, c) order).
+PackedMatrix pack_conv_weights(const Tensor& weights);
+
+/// Per-image transpose [n, pixels, channels] -> [n, channels, pixels]: an
+/// NHWC buffer (or a conv GEMM result, one row per output pixel) to NCHW.
+/// Images write disjoint slices in parallel.
 void scatter_to_nchw(const float* rows, std::size_t n, std::size_t pixels,
                      std::size_t channels, float* out);
 
-/// Convolution via im2col + matmul; numerically equivalent to conv2d().
+/// NCHW -> NHWC: the same per-image transpose with the axes swapped.
+inline void gather_to_nhwc(const float* nchw, std::size_t n,
+                           std::size_t channels, std::size_t pixels,
+                           float* out) {
+  scatter_to_nchw(nchw, n, channels, pixels, out);
+}
+
+/// Runs a channels-last kernel, `kernel(nhwc_in, nhwc_out)`, on an NCHW
+/// tensor, converting at both ends; `out_shape` is the NCHW result shape.
+template <typename Kernel>
+Tensor via_nhwc(const Tensor& input, const Shape& out_shape, Kernel kernel) {
+  const std::size_t n = input.shape().dim(0);
+  Tensor in(input.shape());  // NHWC data under the NCHW shape
+  gather_to_nhwc(input.data().data(), n, input.shape().dim(1),
+                 input.shape().dim(2) * input.shape().dim(3), in.data().data());
+  Tensor out(out_shape);
+  kernel(in.data().data(), out.data().data());
+  Tensor result(out_shape);
+  scatter_to_nchw(out.data().data(), n, out_shape.dim(2) * out_shape.dim(3),
+                  out_shape.dim(1), result.data().data());
+  return result;
+}
+
+/// Convolution via channels-last im2col + the packed GEMM; numerically
+/// equivalent to conv2d() and bitwise equal to the forward arena's conv.
 Tensor conv2d_im2col(const Tensor& input, const Tensor& weights, const Tensor& bias,
                      const Conv2dSpec& spec);
+
+/// Channels-last kernels over raw NHWC buffers.  The forward arena runs
+/// them directly; the Tensor routes below convert NCHW at both ends and run
+/// the same kernels, so the two give bitwise the same values.
+/// Depthwise conv: weights [C, 1, k, k], bias [C].
+void depthwise_nhwc_into(const float* input, std::size_t n, std::size_t in_h,
+                         std::size_t in_w, const float* weights,
+                         const float* bias, const Conv2dSpec& spec, float* out);
+/// Max (`max`) or average pooling with stride == window.
+void pool_nhwc_into(const float* input, std::size_t n, std::size_t h,
+                    std::size_t w, std::size_t channels, std::size_t window,
+                    bool max, float* out);
+/// Global average pooling: [n, pixels, channels] -> [n, channels].
+void global_avgpool_nhwc_into(const float* input, std::size_t n,
+                              std::size_t pixels, std::size_t channels,
+                              float* out);
 
 /// Depthwise convolution: weights [channels, 1, k, k], one filter per input
 /// channel (the MobileNet building block, paper Sec. IV-A2).

@@ -869,6 +869,10 @@ void im2col_q8t(const std::int8_t* input, std::size_t n, std::size_t in_h,
   const std::size_t image_elems = spec.in_channels * in_h * in_w;
   const std::size_t m = n * out_h * out_w;
   const auto fill = static_cast<unsigned char>(pad_value);
+  const std::size_t plane_elems = in_h * in_w;
+  const bool same = spec.stride == 1 && out_h == in_h && out_w == in_w;
+  const long h = static_cast<long>(in_h);
+  const long w = static_cast<long>(in_w);
 
   // In the [patch, m] layout each (patch row, image, output row) triple is
   // one contiguous out_w-byte run: padding becomes memset and — at stride
@@ -902,6 +906,31 @@ void im2col_q8t(const std::int8_t* input, std::size_t n, std::size_t in_h,
           for (std::size_t b = 0; b < n; ++b) {
             const std::int8_t* plane =
                 input + b * image_elems + ic * in_h * in_w;
+            if (same) {
+              // Stride 1, out == in: this patch row is the whole plane
+              // shifted by (kh - pad, kw - pad) — one memcpy, then the rows
+              // and columns shifted in from outside get the pad value.
+              std::int8_t* dst = prow + b * plane_elems;
+              const long dy =
+                  static_cast<long>(kh) - static_cast<long>(spec.padding);
+              const long d = dy * w + shift;
+              const long rows_lo = std::max(0L, -dy);
+              const long rows_hi = std::min(h, h - dy);
+              const long lo = std::min(h * w, std::max(rows_lo * w, -d));
+              const long hi = std::max(lo, std::min(rows_hi * w, h * w - d));
+              std::memset(dst, fill, static_cast<std::size_t>(lo));
+              if (hi > lo) {
+                std::memcpy(dst + lo, plane + lo + d,
+                            static_cast<std::size_t>(hi - lo));
+              }
+              std::memset(dst + hi, fill, static_cast<std::size_t>(h * w - hi));
+              for (long y = rows_lo; y < rows_hi; ++y) {  // edges: <= pad bytes
+                std::int8_t* row = dst + y * w;
+                for (std::size_t x = 0; x < ow_lo; ++x) row[x] = pad_value;
+                for (std::size_t x = ow_hi; x < out_w; ++x) row[x] = pad_value;
+              }
+              continue;
+            }
             for (std::size_t oh = 0; oh < out_h; ++oh) {
               std::int8_t* dst = prow + (b * out_h + oh) * out_w;
               const long ih = static_cast<long>(oh * spec.stride + kh) -

@@ -171,7 +171,8 @@ void qgemm_t(const std::int8_t* at, std::size_t m, std::size_t k,
 /// Transposed int8 im2col: gathers conv patches from an int8 NCHW buffer
 /// into [in_c*k*k, n*out_h*out_w] (patch-position-major), the `qgemm_t`
 /// activation layout.  Every inner run over output columns is a contiguous
-/// memcpy/memset.  Padding positions gather `pad_value` (the activation zero
+/// memcpy/memset; at stride 1 with out == in ("same" padding) an image's
+/// patch row is the whole plane shifted, one memcpy plus edge fills.  Padding positions gather `pad_value` (the activation zero
 /// point — the exact int8 encoding of 0.0), so quantized convolution pads
 /// identically to the float path.
 void im2col_q8t(const std::int8_t* input, std::size_t n, std::size_t in_h,

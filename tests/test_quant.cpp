@@ -388,6 +388,48 @@ TEST(Im2colQ8T, IsTransposeOfIm2colQ8) {
   }
 }
 
+// A stride-1 "same" conv (out == in) gathers each patch row as the shifted
+// input plane; a k = 3, pad = 0 conv takes the general per-row gather.  Both
+// must agree with the float gather on non-square images.
+TEST(Im2colQ8T, SameShiftGatherMatchesIm2colQ8) {
+  struct Case {
+    std::size_t n, in_c, h, w, kernel, padding;
+  };
+  for (const Case& c : {Case{2, 3, 6, 9, 1, 0}, Case{2, 3, 7, 5, 3, 1},
+                        Case{1, 2, 5, 8, 5, 2}, Case{1, 2, 3, 4, 5, 2},
+                        Case{2, 3, 7, 5, 3, 0}}) {
+    tensor::Conv2dSpec spec;
+    spec.in_channels = c.in_c;
+    spec.kernel = c.kernel;
+    spec.padding = c.padding;
+    Rng rng(67 + c.h * 10 + c.w + c.kernel);
+    std::vector<std::int8_t> input(c.n * c.in_c * c.h * c.w);
+    for (auto& v : input) {
+      v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+    }
+    const std::size_t patch = c.in_c * c.kernel * c.kernel;
+    const std::size_t m = c.n * spec.out_size(c.h) * spec.out_size(c.w);
+    const std::int8_t pad_value = 5;
+    std::vector<float> shifted(input.size());
+    for (std::size_t j = 0; j < input.size(); ++j) {
+      shifted[j] = static_cast<float>(input[j] - pad_value);
+    }
+    std::vector<float> rows(m * patch);
+    std::vector<std::int8_t> rows_t(m * patch);
+    tensor::im2col_into(shifted.data(), c.n, c.h, c.w, spec, rows.data());
+    tensor::im2col_q8t(input.data(), c.n, c.h, c.w, spec, pad_value,
+                       rows_t.data());
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t p = 0; p < patch; ++p) {
+        ASSERT_EQ(rows_t[p * m + i],
+                  static_cast<std::int8_t>(rows[i * patch + p] + pad_value))
+            << c.h << "x" << c.w << " k" << c.kernel << " pad " << c.padding
+            << " i=" << i << " p=" << p;
+      }
+    }
+  }
+}
+
 TEST(QgemmEpilogue, FusedReluMatchesSeparateRelu) {
   Rng rng(17);
   Tensor aw = Tensor::random_uniform(Shape{6, 24}, rng, -2.0F, 2.0F);
@@ -923,6 +965,56 @@ TEST(ArenaTest, DynamicRangeInt8BatchMatchesSoloRuns) {
   }
 }
 
+// Every channels-last step against Model::forward, bitwise, on one
+// non-square model: a stride-2 conv, a 1x1 conv (fed to its GEMM without a
+// gather), depthwise, BatchNorm, a dynamic-range int8 conv, avg-pool, a
+// residual block with a projection and global average pooling.
+TEST(ArenaTest, ChannelsLastChainBitwiseEqualAcrossRowsAndThreads) {
+  auto spec = [](std::size_t in, std::size_t out, std::size_t k,
+                 std::size_t stride, std::size_t pad) {
+    tensor::Conv2dSpec s;
+    s.in_channels = in;
+    s.out_channels = out;
+    s.kernel = k;
+    s.stride = stride;
+    s.padding = pad;
+    return s;
+  };
+  Rng rng(127);
+  nn::Model model("channels_last_chain", Shape{3, 12, 10});
+  model.add(std::make_unique<nn::Conv2d>(spec(3, 8, 3, 2, 1), rng));  // 8x6x5
+  model.add(std::make_unique<nn::Relu>());
+  model.add(std::make_unique<nn::Conv2d>(spec(8, 6, 1, 1, 0), rng));
+  model.add(std::make_unique<nn::DepthwiseConv2d>(spec(6, 6, 3, 1, 1), rng));
+  auto bn = std::make_unique<nn::BatchNorm>(6);
+  bn->running_mean() = Tensor::random_uniform(Shape{6}, rng, -0.5F, 0.5F);
+  bn->running_var() = Tensor::random_uniform(Shape{6}, rng, 0.5F, 2.0F);
+  model.add(std::move(bn));
+  model.add(nn::QuantizedConv2d::from_conv(nn::Conv2d(spec(6, 8, 3, 1, 1), rng)));
+  model.add(std::make_unique<nn::Relu>());
+  model.add(std::make_unique<nn::AvgPool2d>(2));  // 8x3x2
+  std::vector<nn::LayerPtr> body;
+  body.push_back(std::make_unique<nn::Conv2d>(spec(8, 12, 3, 1, 1), rng));
+  body.push_back(std::make_unique<nn::Relu>());
+  body.push_back(std::make_unique<nn::Conv2d>(spec(12, 12, 3, 1, 1), rng));
+  model.add(std::make_unique<nn::ResidualBlock>(
+      std::move(body), std::make_unique<nn::Conv2d>(spec(8, 12, 1, 1, 0), rng)));
+  model.add(std::make_unique<nn::GlobalAvgPool>());
+  model.add(std::make_unique<nn::Dense>(12, 5, rng));
+
+  for (std::size_t threads : {1U, 4U}) {
+    ScopedThreads scope(threads);
+    for (std::size_t rows : {1U, 3U, 7U}) {
+      Rng batch_rng(131 + rows);
+      Tensor batch = Tensor::random_uniform(Shape{rows, 3, 12, 10}, batch_rng,
+                                            -1.0F, 1.0F);
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " rows=" + std::to_string(rows));
+      expect_arena_matches_model(model, batch);
+    }
+  }
+}
+
 TEST(ArenaTest, ProfileLabelsEveryStepAndLeavesRunLogits) {
   Rng rng(113);
   nn::Model vgg = nn::zoo::make_mini_vgg({3, 16, 4}, rng);
@@ -937,16 +1029,18 @@ TEST(ArenaTest, ProfileLabelsEveryStepAndLeavesRunLogits) {
     labels.push_back(step.label);
     EXPECT_GE(step.median_us, 0.0) << step.label;
   }
-  // Each ReLU folds into the GEMM before it, so it has no step of its own.
+  // Each ReLU folds into the GEMM before it, so it has no step of its own;
+  // Flatten turns the channels-last activation back into CHW features.
   const std::vector<std::string> planned = {
-      "conv2d[0] 3x16x16->16x16x16 k3 +relu",
-      "conv2d[1] 16x16x16->16x16x16 k3 +relu",
-      "maxpool2d[0] 16x16x16->16x8x8",
-      "conv2d[2] 16x8x8->32x8x8 k3 +relu",
-      "conv2d[3] 32x8x8->32x8x8 k3 +relu",
-      "maxpool2d[1] 32x8x8->32x4x4",
-      "dense[0] 512->96 +relu",
-      "dense[1] 96->4",
+      "conv2d[0] [3, 16, 16] -> [16, 16, 16] k3 +relu",
+      "conv2d[1] [16, 16, 16] -> [16, 16, 16] k3 +relu",
+      "maxpool2d[0] [16, 16, 16] -> [16, 8, 8]",
+      "conv2d[2] [16, 8, 8] -> [32, 8, 8] k3 +relu",
+      "conv2d[3] [32, 8, 8] -> [32, 8, 8] k3 +relu",
+      "maxpool2d[1] [32, 8, 8] -> [32, 4, 4]",
+      "flatten[0] [32, 4, 4] -> [512]",
+      "dense[0] [512] -> [96] +relu",
+      "dense[1] [96] -> [4]",
   };
   EXPECT_EQ(labels, planned);
   for (std::size_t i = 0; i < expected.size(); ++i) {

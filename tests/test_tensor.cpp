@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/rng.h"
 #include "tensor/ops.h"
@@ -208,6 +209,72 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(ConvCase{1, 1, 5, 3, 1, 0}, ConvCase{3, 4, 6, 3, 1, 1},
                       ConvCase{2, 2, 8, 3, 2, 1}, ConvCase{4, 8, 7, 1, 1, 0},
                       ConvCase{2, 3, 9, 5, 2, 2}, ConvCase{1, 6, 4, 2, 2, 0}));
+
+// The channels-last gather holds the NCHW gather's values, each patch
+// permuted from (c, kh, kw) to (kh, kw, c) order: every ConvEquivalence
+// geometry plus non-square inputs, three images each.
+TEST(ChannelsLastTest, Im2colNhwcIsPermutedIm2col) {
+  struct Case {
+    std::size_t in_c, h, w, kernel, stride, padding;
+  };
+  std::vector<Case> cases;
+  for (const ConvCase& c : {ConvCase{1, 1, 5, 3, 1, 0}, ConvCase{3, 4, 6, 3, 1, 1},
+                            ConvCase{2, 2, 8, 3, 2, 1}, ConvCase{4, 8, 7, 1, 1, 0},
+                            ConvCase{2, 3, 9, 5, 2, 2}, ConvCase{1, 6, 4, 2, 2, 0}}) {
+    cases.push_back({c.in_c, c.hw, c.hw, c.kernel, c.stride, c.padding});
+  }
+  cases.push_back({3, 7, 5, 3, 1, 1});
+  cases.push_back({2, 6, 9, 3, 2, 1});
+  cases.push_back({4, 5, 8, 5, 1, 2});
+  cases.push_back({3, 4, 9, 2, 2, 0});
+  cases.push_back({5, 9, 4, 1, 1, 0});
+  const std::size_t n = 3;
+  for (const Case& c : cases) {
+    Conv2dSpec spec;
+    spec.in_channels = c.in_c;
+    spec.kernel = c.kernel;
+    spec.stride = c.stride;
+    spec.padding = c.padding;
+    Rng rng(29 + c.h * 10 + c.w);
+    Tensor input = Tensor::random_uniform(Shape{n, c.in_c, c.h, c.w}, rng);
+    std::vector<float> nhwc(input.elements());
+    gather_to_nhwc(input.data().data(), n, c.in_c, c.h * c.w, nhwc.data());
+    const std::size_t rows = n * spec.out_size(c.h) * spec.out_size(c.w);
+    const std::size_t patch = c.in_c * c.kernel * c.kernel;
+    std::vector<float> chw_rows(rows * patch);
+    std::vector<float> hwc_rows(rows * patch);
+    im2col_into(input.data().data(), n, c.h, c.w, spec, chw_rows.data());
+    im2col_nhwc_into(nhwc.data(), n, c.h, c.w, spec, hwc_rows.data());
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t ch = 0; ch < c.in_c; ++ch) {
+        for (std::size_t kh = 0; kh < c.kernel; ++kh) {
+          for (std::size_t kw = 0; kw < c.kernel; ++kw) {
+            ASSERT_EQ(hwc_rows[r * patch + (kh * c.kernel + kw) * c.in_c + ch],
+                      chw_rows[r * patch + (ch * c.kernel + kh) * c.kernel + kw])
+                << c.h << "x" << c.w << " k" << c.kernel << " s" << c.stride
+                << " row " << r;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ChannelsLastTest, Im2colConvMatchesDirectOnNonSquareInputs) {
+  Rng rng(31);
+  Conv2dSpec spec;
+  spec.in_channels = 3;
+  spec.out_channels = 5;
+  spec.kernel = 3;
+  spec.stride = 2;
+  spec.padding = 1;
+  Tensor input = Tensor::random_uniform(Shape{3, 3, 7, 10}, rng);
+  Tensor w = Tensor::random_uniform(Shape{5, 3, 3, 3}, rng);
+  Tensor b = Tensor::random_uniform(Shape{5}, rng);
+  Tensor via_im2col = conv2d_im2col(input, w, b, spec);
+  EXPECT_EQ(via_im2col.shape(), Shape({3, 5, 4, 5}));
+  EXPECT_TRUE(conv2d(input, w, b, spec).all_close(via_im2col, 1e-4F));
+}
 
 TEST(OpsTest, DepthwiseConvMatchesPerChannelConv) {
   // Depthwise conv on channel c equals a 1-channel full conv with that
