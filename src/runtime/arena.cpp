@@ -104,7 +104,8 @@ std::optional<std::size_t> ForwardArena::plan_layer(nn::Layer& layer,
   std::string label = layer.type() + "[" +
                       std::to_string(ordinals_[layer.type()]++) + "] " +
                       sample.to_string() + " -> " + out_shape.to_string();
-  if (const common::Json* k = layer.config().find("kernel")) {
+  const common::Json config = layer.config();
+  if (const common::Json* k = config.find("kernel")) {
     label += " k" + std::to_string(k->as_int());
   }
   if (*fused_next) label += " +relu";

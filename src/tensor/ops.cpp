@@ -256,10 +256,12 @@ PackedMatrix pack_conv_weights(const Tensor& weights) {
   const std::size_t oc = weights.shape().dim(0);
   const std::size_t ic = weights.shape().dim(1);
   const std::size_t kk = weights.shape().dim(2) * weights.shape().dim(3);
-  const float* w = weights.data().data();  // [oc, (c, kh, kw)]
-  std::vector<float> b(oc * ic * kk);      // [(kh, kw, c), oc]
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    b[((i % kk) * ic + i / kk % ic) * oc + i / (ic * kk)] = w[i];
+  const float* w = weights.data().data();  // [oc, c, (kh, kw)]
+  std::vector<float> b(oc * ic * kk);      // [(kh, kw), c, oc]
+  for (std::size_t o = 0; o < oc; ++o) {
+    for (std::size_t c = 0; c < ic; ++c) {
+      for (std::size_t j = 0; j < kk; ++j) b[(j * ic + c) * oc + o] = *w++;
+    }
   }
   return PackedMatrix::pack(b.data(), kk * ic, oc);
 }

@@ -276,6 +276,71 @@ TEST(ChannelsLastTest, Im2colConvMatchesDirectOnNonSquareInputs) {
   EXPECT_TRUE(conv2d(input, w, b, spec).all_close(via_im2col, 1e-4F));
 }
 
+// The channels-last kernels behind the Tensor routes and the forward arena
+// keep each element's arithmetic: equal, bit for bit, to plain NCHW loops.
+TEST(ChannelsLastTest, SharedKernelsMatchNchwLoopsBitwise) {
+  Rng rng(37);
+  const std::size_t n = 2, c = 3, h = 6, w = 8;
+  Tensor input = Tensor::random_uniform(Shape{n, c, h, w}, rng, -2.0F, 2.0F);
+  auto at = [&](std::size_t b, std::size_t ch, long y, long x) {
+    bool inside = y >= 0 && x >= 0 && y < static_cast<long>(h) &&
+                  x < static_cast<long>(w);
+    return inside ? input.at4(b, ch, static_cast<std::size_t>(y),
+                              static_cast<std::size_t>(x))
+                  : 0.0F;
+  };
+  Conv2dSpec spec;
+  spec.in_channels = c;
+  spec.out_channels = c;
+  spec.kernel = 3;
+  spec.stride = 2;
+  spec.padding = 1;
+  Tensor dw_w = Tensor::random_uniform(Shape{c, 1, 3, 3}, rng);
+  Tensor dw_b = Tensor::random_uniform(Shape{c}, rng);
+  Tensor dw = depthwise_conv2d(input, dw_w, dw_b, spec);
+  Tensor mx = maxpool2d(input, 2);
+  Tensor av = avgpool2d(input, 2);
+  Tensor gap = global_avgpool(input);
+  for (std::size_t b = 0; b < n; ++b) {
+    for (std::size_t ch = 0; ch < c; ++ch) {
+      for (std::size_t y = 0; y < dw.shape().dim(2); ++y) {
+        for (std::size_t x = 0; x < dw.shape().dim(3); ++x) {
+          double acc = dw_b[ch];
+          for (std::size_t kh = 0; kh < 3; ++kh) {
+            for (std::size_t kw = 0; kw < 3; ++kw) {
+              acc += static_cast<double>(at(b, ch, static_cast<long>(y * 2 + kh) - 1,
+                                            static_cast<long>(x * 2 + kw) - 1)) *
+                     dw_w.at4(ch, 0, kh, kw);
+            }
+          }
+          ASSERT_EQ(dw.at4(b, ch, y, x), static_cast<float>(acc));
+        }
+      }
+      for (std::size_t y = 0; y < h / 2; ++y) {
+        for (std::size_t x = 0; x < w / 2; ++x) {
+          float best = input.at4(b, ch, 2 * y, 2 * x);
+          float sum = 0.0F;
+          for (std::size_t kh = 0; kh < 2; ++kh) {
+            for (std::size_t kw = 0; kw < 2; ++kw) {
+              float v = input.at4(b, ch, 2 * y + kh, 2 * x + kw);
+              if (v > best) best = v;
+              sum = sum + v;
+            }
+          }
+          sum /= 4.0F;
+          ASSERT_EQ(mx.at4(b, ch, y, x), best);
+          ASSERT_EQ(av.at4(b, ch, y, x), sum);
+        }
+      }
+      double acc = 0.0;
+      for (std::size_t y = 0; y < h; ++y) {
+        for (std::size_t x = 0; x < w; ++x) acc += input.at4(b, ch, y, x);
+      }
+      ASSERT_EQ(gap.at2(b, ch), static_cast<float>(acc / static_cast<double>(h * w)));
+    }
+  }
+}
+
 TEST(OpsTest, DepthwiseConvMatchesPerChannelConv) {
   // Depthwise conv on channel c equals a 1-channel full conv with that
   // channel's filter.
