@@ -5,8 +5,9 @@
 // forward arena), ops/sec, weight storage bytes, and float-vs-int8 top-1
 // agreement.  For mini-VGG it also prints the arena's per-step median table
 // (float and int8, one row) and `gemm_share`: gemm_packed alone at each
-// fp32 layer's GEMM shape, summed, over the fp32 forward p50.  Writes
-// BENCH_quant.json so CI can archive the trajectory.
+// fp32 layer's GEMM shape, summed, over the fp32 forward p50.  A 512 -> 96
+// dense layer is timed float vs int8 at rows 1/2/4/8.  Writes
+// BENCH_quant.json (with the int8 ISA level) so CI can gate and archive it.
 //
 // Usage: bench_quant [--quick] [--out PATH]
 //   --quick  fewer reps / smaller training budget (CI smoke job)
@@ -39,6 +40,7 @@
 #include "runtime/inference.h"
 #include "tensor/ops.h"
 #include "tensor/pack.h"
+#include "tensor/quantize.h"
 
 namespace openei::bench {
 namespace {
@@ -198,6 +200,39 @@ double gemm_alone_us(const nn::Model& model, std::size_t reps) {
   return sum;
 }
 
+/// Single-layer 512 -> 96 dense, float and calibrated int8, through the
+/// forward arena at rows 1/2/4/8 (the micro-batcher's fused batches): the
+/// batched int8 dense case.  Prints and returns [{rows, float/int8 p50}].
+Json dense_rows_table(std::size_t reps) {
+  common::Rng rng(53);
+  nn::Model model("dense_512x96", Shape{512});
+  model.add(std::make_unique<nn::Dense>(512, 96, rng));
+  Tensor calibration = Tensor::random_uniform(Shape{64, 512}, rng, -1.0F, 1.0F);
+  nn::Model quantized =
+      std::move(compress::quantize_int8(model, calibration).model);
+  auto float_arena = runtime::ForwardArena::plan(model);
+  auto int8_arena = runtime::ForwardArena::plan(quantized);
+  Tensor input = Tensor::random_uniform(Shape{8, 512}, rng, -1.0F, 1.0F);
+  auto p50_us = [&](runtime::ForwardArena& arena, std::size_t rows) {
+    for (int i = 0; i < 20; ++i) arena.run(input.data().data(), rows);
+    return measure(reps, [&] {
+             benchmark::DoNotOptimize(arena.run(input.data().data(), rows));
+           }).p50_ms * 1e3;
+  };
+  std::printf("\ndense 512->96 through the arena (p50 of %zu):\n", reps);
+  std::printf("  %4s %10s %10s\n", "rows", "float", "int8");
+  JsonArray rows_json;
+  for (std::size_t rows : {1, 2, 4, 8}) {
+    double float_us = p50_us(*float_arena, rows);
+    double int8_us = p50_us(*int8_arena, rows);
+    std::printf("  %4zu %7.2f us %7.2f us\n", rows, float_us, int8_us);
+    rows_json.push_back(Json(JsonObject{{"rows", Json(rows)},
+                                        {"float_p50_us", Json(float_us)},
+                                        {"int8_p50_us", Json(int8_us)}}));
+  }
+  return Json(std::move(rows_json));
+}
+
 struct WorkloadResult {
   Json json;
   double p50_speedup = 0.0;
@@ -334,6 +369,8 @@ int run(const Config& config) {
 
   WorkloadResult mlp = run_mlp(config);
   WorkloadResult cnn = run_cnn(config);
+  section("batched int8 dense");
+  Json dense_rows = dense_rows_table(config.quick ? 500 : 5000);
 
   JsonArray workloads;
   workloads.push_back(std::move(mlp.json));
@@ -350,6 +387,9 @@ int run(const Config& config) {
       {"top1_agreement", Json(std::min(mlp.agreement, cnn.agreement))},
       // The fp32 mini-VGG forward's kernel share (E18).
       {"gemm_share", Json(cnn.gemm_share)},
+      {"dense_512x96", std::move(dense_rows)},
+      // 3 = AVX-512 VNNI; the E13 mini-VGG gate applies only there.
+      {"int8_isa_level", Json(tensor::int8_isa_level())},
   });
   // int8-vs-float on the same host is a fair comparison whenever the run
   // used full rep counts.

@@ -21,33 +21,6 @@ Tensor conv_weight_init(const Conv2dSpec& spec, std::size_t filters,
       Shape{filters, in_per_filter, spec.kernel, spec.kernel}, rng, 0.0F, bound);
 }
 
-/// Quantizes one NHWC image into CHW int8 planes: blocks of whole pixels go
-/// through the vectorized bulk quantizer into an L1-resident buffer, then
-/// spread over the planes (~3x faster than quantize_one per element).
-void quantize_to_planes(const float* image, std::size_t pixels,
-                        std::size_t channels, const tensor::QuantParams& params,
-                        std::int8_t* planes) {
-  constexpr std::size_t kBlock = 1024;
-  if (channels > kBlock) {  // a pixel wider than the block: per element
-    for (std::size_t i = 0; i < pixels * channels; ++i) {
-      planes[i % channels * pixels + i / channels] =
-          tensor::quantize_one(image[i], params);
-    }
-    return;
-  }
-  std::int8_t block[kBlock];
-  const std::size_t step = kBlock / channels;
-  for (std::size_t p0 = 0; p0 < pixels; p0 += step) {
-    const std::size_t count = std::min(step, pixels - p0);
-    tensor::quantize_to_int8(image + p0 * channels, count * channels, params,
-                             block);
-    for (std::size_t c = 0; c < channels; ++c) {
-      std::int8_t* dst = planes + c * pixels + p0;
-      for (std::size_t p = 0; p < count; ++p) dst[p] = block[p * channels + c];
-    }
-  }
-}
-
 }  // namespace
 
 Conv2d::Conv2d(Conv2dSpec spec, common::Rng& rng)
@@ -188,6 +161,7 @@ QuantizedConv2d::QuantizedConv2d(Conv2dSpec spec,
                "quantized conv packed weight shape mismatch");
   OPENEI_CHECK(bias_.elements() == spec_.out_channels,
                "quantized conv bias size mismatch");
+  packed_.use_channels_last_patches(spec_.in_channels, spec_.kernel);
 }
 
 std::unique_ptr<QuantizedConv2d> QuantizedConv2d::from_conv(const Conv2d& conv) {
@@ -201,33 +175,35 @@ std::unique_ptr<QuantizedConv2d> QuantizedConv2d::from_conv(const Conv2d& conv) 
       conv.bias());
 }
 
+std::size_t QuantizedConv2d::patch_row_bytes() const {
+  const bool direct = spec_.kernel == 1 && spec_.stride == 1 &&
+                      spec_.padding == 0 && spec_.in_channels % 4 == 0;
+  return direct ? 0 : tensor::qgemm_row_bytes(packed_.cols());
+}
+
 void QuantizedConv2d::forward_into(const float* input, std::size_t n,
                                    std::size_t in_h, std::size_t in_w,
-                                   std::int8_t* input_staging,
-                                   std::int8_t* patch_staging, bool fuse_relu,
+                                   std::uint8_t* input_staging,
+                                   std::uint8_t* patch_staging, bool fuse_relu,
                                    float* out) const {
-  std::size_t channels = spec_.in_channels;
-  std::size_t pixels = in_h * in_w;
-  std::size_t gemm_rows = n * spec_.out_size(in_h) * spec_.out_size(in_w);
-  std::size_t patch = channels * spec_.kernel * spec_.kernel;
-
+  const std::size_t elems = n * in_h * in_w * spec_.in_channels;
   tensor::QuantParams params =
-      input_params_ ? *input_params_
-                    : tensor::QuantParams::fit(input, n * channels * pixels);
-  // Quantize the NHWC input once (each pixel rounds once, not k^2 times)
-  // into CHW int8, then gather patches in int8 — transposed [patch, rows],
-  // so the gather is contiguous memcpy/memset runs and the GEMM stages its
-  // lane tiles with in-register byte transposes.  The zero point encodes
-  // 0.0 exactly, so padding matches the float path.
-  for (std::size_t b = 0; b < n; ++b) {
-    quantize_to_planes(input + b * pixels * channels, pixels, channels, params,
-                       input_staging + b * channels * pixels);
+      input_params_ ? *input_params_ : tensor::QuantParams::fit(input, elems);
+  // Quantize the NHWC input once, in the GEMM's biased encoding (each pixel
+  // rounds once, not k^2 times), then gather (kh, kw, c) patches as byte
+  // runs.  The zero point encodes 0.0 exactly, so padding matches the float
+  // path.  A 1x1 stride-1 unpadded conv's quantized input already is its
+  // patch matrix.
+  tensor::quantize_biased(input, elems, params, input_staging);
+  const std::uint8_t* rows = input_staging;
+  if (patch_row_bytes() != 0) {
+    tensor::im2col_nhwc_q8(input_staging, n, in_h, in_w, spec_,
+                           tensor::biased(params.zero_point), patch_staging);
+    rows = patch_staging;
   }
-  tensor::im2col_q8t(input_staging, n, in_h, in_w, spec_,
-                     static_cast<std::int8_t>(params.zero_point),
-                     patch_staging);
-  tensor::qgemm_t(patch_staging, gemm_rows, patch, params, packed_,
-                  bias_.data().data(), fuse_relu, out);
+  tensor::qgemm(rows, n * spec_.out_size(in_h) * spec_.out_size(in_w),
+                packed_.cols(), params, packed_, bias_.data().data(), fuse_relu,
+                out);
 }
 
 Tensor QuantizedConv2d::forward(const Tensor& input, bool training) {
@@ -240,10 +216,10 @@ Tensor QuantizedConv2d::forward(const Tensor& input, bool training) {
   std::size_t in_w = input.shape().dim(3);
   std::size_t out_h = spec_.out_size(in_h);
   std::size_t out_w = spec_.out_size(in_w);
-  std::size_t patch = spec_.in_channels * spec_.kernel * spec_.kernel;
 
-  std::vector<std::int8_t> input_staging(input.elements());
-  std::vector<std::int8_t> patch_staging(n * out_h * out_w * patch);
+  std::vector<std::uint8_t> input_staging(input.elements());
+  std::vector<std::uint8_t> patch_staging(n * out_h * out_w *
+                                          patch_row_bytes());
   return tensor::via_nhwc(input, Shape{n, spec_.out_channels, out_h, out_w},
                           [&](const float* in, float* out) {
                             forward_into(in, n, in_h, in_w, input_staging.data(),

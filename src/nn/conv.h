@@ -44,10 +44,11 @@ class Conv2d : public Layer {
 
 /// Convolution whose weights are stored int8-packed; inference-only.  The
 /// forward path is genuinely quantized (unlike the old fake-quantize
-/// round-trip): the input is quantized to int8 CHW once, patches are
-/// gathered in int8 (padding gathers the activation zero point — the exact
-/// encoding of 0.0), and the packed [oc, ic*k*k] weights run through the
-/// int8 GEMM with a fused requantize(+bias)(+ReLU) epilogue.
+/// round-trip): the channels-last input is quantized once, (kh, kw, c)
+/// patches are gathered in int8 (padding gathers the activation zero point
+/// — the exact encoding of 0.0), and the packed weights, whose kernel views
+/// are permuted to that patch order at construction, run through the int8
+/// GEMM with a fused requantize(+bias)(+ReLU) epilogue.
 class QuantizedConv2d : public Layer {
  public:
   QuantizedConv2d(tensor::Conv2dSpec spec, tensor::PackedQuantMatrix packed,
@@ -78,19 +79,25 @@ class QuantizedConv2d : public Layer {
   }
   void set_input_params(tensor::QuantParams params) { input_params_ = params; }
 
+  /// Patch staging bytes per output pixel forward_into needs: one qgemm
+  /// row of the (kh, kw, c) patch, or 0 for a 1x1, stride-1, unpadded conv
+  /// over a multiple of 4 channels, whose quantized input feeds the GEMM as
+  /// is.
+  std::size_t patch_row_bytes() const;
+
   /// Raw-buffer forward shared by forward() and the zero-alloc arena, over
   /// channels-last activations: `input` is NHWC and `out` receives NHWC
-  /// ([n*out_h*out_w, out_c], the GEMM's own output).  Caller provides int8
-  /// staging for the quantized CHW input (n*in_c*in_h*in_w) and for the
-  /// gathered patches (n*out_h*out_w * in_c*k*k).
+  /// ([n*out_h*out_w, out_c], the GEMM's own output).  Caller provides byte
+  /// staging for the quantized input (n*in_h*in_w*in_c) and for the
+  /// gathered patches (n*out_h*out_w * patch_row_bytes()).
   void forward_into(const float* input, std::size_t n, std::size_t in_h,
-                    std::size_t in_w, std::int8_t* input_staging,
-                    std::int8_t* patch_staging, bool fuse_relu,
+                    std::size_t in_w, std::uint8_t* input_staging,
+                    std::uint8_t* patch_staging, bool fuse_relu,
                     float* out) const;
 
  private:
   tensor::Conv2dSpec spec_;
-  tensor::PackedQuantMatrix packed_;  // [oc, ic*k*k] int8, row-major
+  tensor::PackedQuantMatrix packed_;  // [oc, ic*k*k] int8, (c, kh, kw) columns
   Tensor bias_;                       // [oc]
   std::optional<tensor::QuantParams> input_params_;
 };

@@ -104,30 +104,24 @@ tensor::QuantParams QuantizedDense::effective_input_params(const float* input,
 }
 
 void QuantizedDense::forward_into(const float* input, std::size_t rows,
-                                  std::int8_t* staging, bool fuse_relu,
+                                  std::uint8_t* staging, bool fuse_relu,
                                   float* out) const {
   const std::size_t in = in_features();
+  const std::size_t lda = tensor::qgemm_row_bytes(in);
   tensor::QuantParams params = effective_input_params(input, rows * in);
-  // Stage the activations in the GEMM's [in, rows] layout: sample i becomes
-  // column i.  A single sample is one contiguous column; a batch quantizes
-  // each sample in bulk through a small buffer and scatters it.
-  if (rows == 1) {
-    tensor::quantize_to_int8(input, in, params, staging);
+  // Stage the activations as the GEMM's biased [rows, lda] rows: one bulk
+  // quantize when the rows need no tail, else one per row plus its tail.
+  if (lda == in) {
+    tensor::quantize_biased(input, rows * in, params, staging);
   } else {
-    constexpr std::size_t kChunk = 256;
-    std::int8_t q[kChunk];
     for (std::size_t i = 0; i < rows; ++i) {
-      for (std::size_t p0 = 0; p0 < in; p0 += kChunk) {
-        const std::size_t len = std::min(kChunk, in - p0);
-        tensor::quantize_to_int8(input + i * in + p0, len, params, q);
-        for (std::size_t p = 0; p < len; ++p) {
-          staging[(p0 + p) * rows + i] = q[p];
-        }
-      }
+      std::uint8_t* row = staging + i * lda;
+      tensor::quantize_biased(input + i * in, in, params, row);
+      std::fill(row + in, row + lda, tensor::biased(0));
     }
   }
-  tensor::qgemm_t(staging, rows, in, params, packed_, bias_.data().data(),
-                  fuse_relu, out);
+  tensor::qgemm(staging, rows, in, params, packed_, bias_.data().data(),
+                fuse_relu, out);
 }
 
 Tensor QuantizedDense::forward(const Tensor& input, bool training) {
@@ -136,7 +130,8 @@ Tensor QuantizedDense::forward(const Tensor& input, bool training) {
                    input.shape().dim(1) == in_features(),
                "quantized dense input shape mismatch");
   std::size_t rows = input.shape().dim(0);
-  std::vector<std::int8_t> staging(rows * in_features());
+  std::vector<std::uint8_t> staging(rows *
+                                    tensor::qgemm_row_bytes(in_features()));
   Tensor out(Shape{rows, out_features()});
   forward_into(input.data().data(), rows, staging.data(), /*fuse_relu=*/false,
                out.data().data());

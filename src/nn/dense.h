@@ -90,10 +90,10 @@ class QuantizedDense : public Layer {
 
   /// Raw-buffer forward shared by forward() and the zero-alloc arena:
   /// quantizes `rows * in_features()` floats into `staging` (caller-provided,
-  /// same element count), laid out [in_features(), rows] as qgemm_t takes
-  /// it, and runs the int8 GEMM (+bias, optional fused ReLU) into `out`
-  /// ([rows, out_features()]).
-  void forward_into(const float* input, std::size_t rows, std::int8_t* staging,
+  /// rows * qgemm_row_bytes(in_features()) bytes) as the GEMM's biased
+  /// row-major activations, and runs the int8 GEMM (+bias, optional fused
+  /// ReLU) into `out` ([rows, out_features()]).
+  void forward_into(const float* input, std::size_t rows, std::uint8_t* staging,
                     bool fuse_relu, float* out) const;
 
  private:

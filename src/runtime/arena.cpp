@@ -140,7 +140,7 @@ std::optional<std::size_t> ForwardArena::plan_steps(
   }
 
   if (auto* qd = dynamic_cast<nn::QuantizedDense*>(&layer)) {
-    std::size_t staging = new_qbuf(qd->in_features());
+    std::size_t staging = new_qbuf(tensor::qgemm_row_bytes(qd->in_features()));
     std::size_t out_buf = new_fbuf(qd->out_features());
     *fused_next = fuse;
     dynamic_ranges_ |= !qd->input_params().has_value();
@@ -177,13 +177,11 @@ std::optional<std::size_t> ForwardArena::plan_steps(
 
   // --- convolution family -------------------------------------------------
   if (auto* qc = dynamic_cast<nn::QuantizedConv2d*>(&layer)) {
-    const tensor::Conv2dSpec& spec = qc->spec();
     std::size_t in_h = sample.dim(1);
     std::size_t in_w = sample.dim(2);
     std::size_t pixels = out_shape.dim(1) * out_shape.dim(2);
-    std::size_t patch = spec.in_channels * spec.kernel * spec.kernel;
     std::size_t q_in = new_qbuf(sample.elements());
-    std::size_t q_patch = new_qbuf(pixels * patch);
+    std::size_t q_patch = new_qbuf(pixels * qc->patch_row_bytes());
     std::size_t out_buf = new_fbuf(out_shape.elements());
     *fused_next = fuse;
     dynamic_ranges_ |= !qc->input_params().has_value();
@@ -275,13 +273,16 @@ std::optional<std::size_t> ForwardArena::plan_steps(
                                                     std::size_t rows) {
       const float* x = a.fptr(in_buf);
       float* o = a.fptr(out_buf);
-      common::parallel_for(0, rows * elems, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          std::size_t f = i % features;  // channels-last, or a flat vector
-          float nh = (x[i] - mean[f]) * inv_std[f];
-          o[i] = gamma[f] * nh + beta[f];
-        }
-      });
+      common::parallel_for(
+          0, rows * elems,
+          [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i) {
+              std::size_t f = i % features;  // channels-last, or a flat vector
+              float nh = (x[i] - mean[f]) * inv_std[f];
+              o[i] = gamma[f] * nh + beta[f];
+            }
+          },
+          common::kForkScalarOps);
     });
     return out_buf;
   }
@@ -310,9 +311,12 @@ std::optional<std::size_t> ForwardArena::plan_steps(
       const float* b = a.fptr(body_buf);
       const float* s = a.fptr(shortcut_buf);
       float* o = a.fptr(out_buf);
-      common::parallel_for(0, rows * elems, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) o[i] = b[i] + s[i];
-      });
+      common::parallel_for(
+          0, rows * elems,
+          [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i) o[i] = b[i] + s[i];
+          },
+          common::kForkScalarOps);
     });
     return out_buf;
   }
@@ -325,9 +329,12 @@ std::optional<std::size_t> ForwardArena::plan_steps(
                                                  std::size_t rows) {
       const float* in = a.fptr(in_buf);
       float* o = a.fptr(out_buf);
-      common::parallel_for(0, rows * elems, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) o[i] = f(in[i]);
-      });
+      common::parallel_for(
+          0, rows * elems,
+          [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i) o[i] = f(in[i]);
+          },
+          common::kForkScalarOps);
     });
     return out_buf;
   };

@@ -84,9 +84,9 @@ class ForwardArena {
     std::size_t per_row = 0;
     common::aligned_vector<float> data;
   };
-  struct QuantBuf {
+  struct QuantBuf {  // int8 activations in the GEMM's biased encoding
     std::size_t per_row = 0;
-    common::aligned_vector<std::int8_t> data;
+    common::aligned_vector<std::uint8_t> data;
   };
   /// One compiled layer step; reads/writes arena buffers by index.
   using StepFn = std::function<void(ForwardArena&, std::size_t rows)>;
@@ -96,7 +96,7 @@ class ForwardArena {
   std::size_t new_fbuf(std::size_t per_row);
   std::size_t new_qbuf(std::size_t per_row);
   float* fptr(std::size_t idx) { return fbufs_[idx].data.data(); }
-  std::int8_t* qptr(std::size_t idx) { return qbufs_[idx].data.data(); }
+  std::uint8_t* qptr(std::size_t idx) { return qbufs_[idx].data.data(); }
 
   /// Plans layers[i..] sequentially, applying the ReLU-fusion peephole for
   /// GEMM-backed layers (float and quantized).  Updates `sample` (per-sample

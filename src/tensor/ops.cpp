@@ -187,6 +187,10 @@ Tensor im2col(const Tensor& input, const Conv2dSpec& spec) {
 
 void scatter_to_nchw(const float* rows, std::size_t n, std::size_t pixels,
                      std::size_t channels, float* out) {
+  if (pixels == 1 || channels == 1) {  // the transpose is a copy
+    std::copy(rows, rows + n * pixels * channels, out);
+    return;
+  }
   common::parallel_for(
       0, n,
       [&](std::size_t lo, std::size_t hi) {
@@ -200,8 +204,8 @@ void scatter_to_nchw(const float* rows, std::size_t n, std::size_t pixels,
           }
         }
       },
-      /*grain=*/std::max<std::size_t>(
-          1, 4096 / std::max<std::size_t>(1, pixels * channels)));
+      common::grain_for(common::kForkBytes,
+                        pixels * channels * sizeof(float)));
 }
 
 void im2col_nhwc_into(const float* input, std::size_t n, std::size_t in_h,
@@ -248,8 +252,7 @@ void im2col_nhwc_into(const float* input, std::size_t n, std::size_t in_h,
           }
         }
       },
-      /*grain=*/std::max<std::size_t>(
-          1, 4096 / std::max<std::size_t>(1, out_w * patch)));
+      common::grain_for(common::kForkBytes, out_w * patch * sizeof(float)));
 }
 
 PackedMatrix pack_conv_weights(const Tensor& weights) {
@@ -308,7 +311,7 @@ void depthwise_nhwc_into(const float* input, std::size_t n, std::size_t in_h,
           }
         }
       },
-      /*grain=*/1);
+      common::grain_for(common::kForkScalarOps, out_w * channels * k * k));
 }
 
 void pool_nhwc_into(const float* input, std::size_t n, std::size_t h,

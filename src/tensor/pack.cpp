@@ -19,10 +19,6 @@ namespace {
 
 constexpr std::size_t kNR = kPanelWidth;
 
-/// Below ~64k multiply-adds the fork/join overhead dominates; stay serial
-/// (same threshold as the blocked GEMM it replaces and the int8 engine).
-constexpr std::size_t kSerialMacs = 1ULL << 16;
-
 /// Test-only clamp on both engines' dispatch levels (INT_MAX = uncapped).
 std::atomic<int> g_isa_cap{INT_MAX};
 
@@ -526,7 +522,7 @@ void gemm_packed(const float* a, std::size_t m, const PackedMatrix& b,
   };
 
   const std::size_t np = b.panels();
-  if (m * k * n < kSerialMacs) {
+  if (m * k * n <= common::kForkMacs) {
     span(0, m, 0, np);
     return;
   }
@@ -540,13 +536,11 @@ void gemm_packed(const float* a, std::size_t m, const PackedMatrix& b,
         [&](std::size_t lo, std::size_t hi) {
           span(lo * mr, std::min(hi * mr, m), 0, np);
         },
-        /*grain=*/std::max<std::size_t>(
-            1, kSerialMacs / std::max<std::size_t>(1, mr * k * n)));
+        common::grain_for(common::kForkMacs, mr * k * n));
   } else {
     common::parallel_for(
         0, np, [&](std::size_t lo, std::size_t hi) { span(0, m, lo, hi); },
-        /*grain=*/std::max<std::size_t>(
-            1, kSerialMacs / std::max<std::size_t>(1, m * k * kNR)));
+        common::grain_for(common::kForkMacs, m * k * kNR));
   }
 }
 

@@ -1,6 +1,6 @@
 // fp32 packed GEMM: kernel-shaped weight panels plus runtime-dispatched
 // register-tiled SIMD microkernels — the float twin of the int8 engine's
-// qgemm_t (tensor/quantize.h).
+// qgemm (tensor/quantize.h).
 //
 // B is packed into 16-float-wide column panels (one 512-bit vector, two
 // 256-bit vectors) in 64-byte-aligned storage; the microkernels stream one

@@ -1,6 +1,7 @@
 #include "tensor/quantize.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -13,11 +14,9 @@ namespace openei::tensor {
 namespace {
 constexpr std::int32_t kQMin = -128;
 constexpr std::int32_t kQMax = 127;
-/// Below this many int8 MACs the fork/join overhead dominates; run serial.
-constexpr std::size_t kQgemmSerialMacs = 1ULL << 16;
-/// int32 accumulation of k products bounded by 128*128 each stays exact for
-/// k <= 2^16 (|acc| <= 2^30 < 2^31).  The VNNI kernel's biased-unsigned
-/// accumulation is bounded by 255*128*k <= 2.14e9 < 2^31 at the same limit.
+/// Every GEMM level accumulates biased activations times weights, products
+/// bounded by 255 * 128, so int32 accumulation stays exact for k <= 2^16
+/// (255 * 128 * 2^16 = 2.14e9 < 2^31).
 constexpr std::size_t kQgemmMaxK = 1ULL << 16;
 }  // namespace
 
@@ -121,10 +120,21 @@ __attribute__((always_inline)) inline void quantize_bulk_body(
   for (std::size_t i = 0; i < n; ++i) dst[i] = quantize_one(src[i], p);
 }
 
+__attribute__((always_inline)) inline void quantize_biased_body(
+    const float* src, std::size_t n, const QuantParams p, std::uint8_t* dst) {
+  for (std::size_t i = 0; i < n; ++i) dst[i] = biased(quantize_one(src[i], p));
+}
+
 #if OPENEI_X86_SIMD_DISPATCH
 __attribute__((target("avx512f,avx512bw,avx512vl"))) void quantize_bulk_avx512(
     const float* src, std::size_t n, const QuantParams p, std::int8_t* dst) {
   quantize_bulk_body(src, n, p, dst);
+}
+
+__attribute__((target("avx512f,avx512bw,avx512vl"))) void
+quantize_biased_avx512(const float* src, std::size_t n, const QuantParams p,
+                       std::uint8_t* dst) {
+  quantize_biased_body(src, n, p, dst);
 }
 #endif
 
@@ -141,6 +151,17 @@ void quantize_to_int8(const float* src, std::size_t n, const QuantParams& p,
   }
 #endif
   quantize_bulk_body(src, n, p, dst);
+}
+
+void quantize_biased(const float* src, std::size_t n, const QuantParams& p,
+                     std::uint8_t* dst) {
+#if OPENEI_X86_SIMD_DISPATCH
+  if (simd_level() >= 2) {
+    quantize_biased_avx512(src, n, p, dst);
+    return;
+  }
+#endif
+  quantize_biased_body(src, n, p, dst);
 }
 
 QuantizedTensor::QuantizedTensor(Shape shape, std::vector<std::int8_t> data,
@@ -273,17 +294,59 @@ void PackedQuantMatrix::finalize() {
     for (std::size_t c = 0; c < cols_; ++c) sum += row[c];
     row_sums_[r] = sum;
   }
-  // Kernel view: pad each row with zeros to a 16-lane boundary so the GEMM
-  // inner loop is tail-free.  Zero weights are exact no-ops in the affine
-  // sum, so only ragged matrices pay the (tiny) shadow copy.
-  kernel_cols_ = (cols_ + 15) / 16 * 16;
-  if (kernel_cols_ == cols_) {
-    kernel_data_.clear();
+  build_kernel_views();
+}
+
+void PackedQuantMatrix::use_channels_last_patches(std::size_t channels,
+                                                  std::size_t kernel) {
+  OPENEI_CHECK(channels * kernel * kernel == cols_,
+               "patch geometry does not match the packed columns");
+  patch_channels_ = channels;
+  patch_kernel_ = kernel;
+  build_kernel_views();
+}
+
+void PackedQuantMatrix::build_kernel_views() {
+  // Kernel column j holds stored column src[j]: the identity, or the conv
+  // permutation (kh, kw, c) <- (c, kh, kw).
+  std::vector<std::size_t> src(cols_);
+  const std::size_t kk = patch_kernel_ * patch_kernel_;
+  std::size_t j = 0;
+  if (patch_channels_ == 0) {
+    for (; j < cols_; ++j) src[j] = j;
   } else {
+    for (std::size_t pos = 0; pos < kk; ++pos) {  // pos = kh * kernel + kw
+      for (std::size_t c = 0; c < patch_channels_; ++c) src[j++] = c * kk + pos;
+    }
+  }
+  // Row view: each row zero-padded to a 16-lane boundary so the pmaddwd
+  // inner loop is tail-free.  Zero weights are exact no-ops in the affine
+  // sum; an unpermuted matrix of 16-multiple rows is its own view.
+  kernel_cols_ = (cols_ + 15) / 16 * 16;
+  kernel_data_.clear();
+  if (patch_channels_ != 0 || kernel_cols_ != cols_) {
     kernel_data_.assign(rows_ * kernel_cols_, 0);
     for (std::size_t r = 0; r < rows_; ++r) {
-      std::copy(data_.data() + r * cols_, data_.data() + (r + 1) * cols_,
-                kernel_data_.data() + r * kernel_cols_);
+      const std::int8_t* row = data_.data() + r * cols_;
+      std::int8_t* dst = kernel_data_.data() + r * kernel_cols_;
+      for (std::size_t c = 0; c < cols_; ++c) dst[c] = row[src[c]];
+    }
+  }
+  // Panel: block b holds channels [16b, 16b + 16); its dword column p4 is
+  // 64 bytes, channel lane t at bytes [4t, 4t + 4) = kernel columns
+  // 4*p4 .. 4*p4 + 3.
+  const std::size_t k4 = qgemm_row_bytes(cols_);
+  panel_.assign((rows_ + 15) / 16 * 16 * k4, 0);
+  std::int8_t* block = panel_.data();
+  for (std::size_t r0 = 0; r0 < rows_; r0 += 16, block += 16 * k4) {
+    for (std::size_t t = 0; t < 16 && r0 + t < rows_; ++t) {
+      const std::int8_t* row = data_.data() + (r0 + t) * cols_;
+      std::int8_t* lane = block + 4 * t;
+      for (std::size_t c4 = 0; c4 < cols_; c4 += 4) {
+        for (std::size_t u = 0; u < 4 && c4 + u < cols_; ++u) {
+          lane[c4 * 16 + u] = row[src[c4 + u]];
+        }
+      }
     }
   }
 }
@@ -305,8 +368,10 @@ Tensor PackedQuantMatrix::dequantize() const {
 namespace {
 
 /// Shared epilogue: dequantize the corrected int accumulation, add bias,
-/// clamp.  One function so every GEMM path (and the test reference, which
-/// spells out the same expression) applies bit-identical float arithmetic.
+/// clamp.  The scalar paths call it; the VNNI vector epilogue performs the
+/// same float operations in the same order (a separate multiply, no FMA),
+/// and the test reference spells out the same expression, so every path
+/// yields bit-identical floats.
 inline float requantize_epilogue(std::int64_t corrected, float combined_scale,
                                  const float* bias, std::size_t r,
                                  bool fuse_relu) {
@@ -316,16 +381,56 @@ inline float requantize_epilogue(std::int64_t corrected, float combined_scale,
   return v;
 }
 
-/// Stack tile sizes for the GEMM inner kernel: activations widen into an
-/// int16 tile (pmaddwd-friendly), raw int32 accumulators collect per row
-/// tile before the float epilogue runs.
-constexpr std::size_t kWidenTile = 4096;  // 8 KB int16 on the stack
-constexpr std::size_t kRowTile = 256;     // 1 KB int32 on the stack
+/// Stack tile for the pmaddwd levels: one activation row widens into an
+/// int16 tile (8 KB) before the row kernels run over it.
+constexpr std::size_t kWidenTile = 4096;
+/// Rows (pixels or samples) of one GEMM task and one VNNI register tile.
+constexpr std::size_t kTileRows = 8;
+/// Output channels of one GEMM task: four 16-channel panel blocks.
+constexpr std::size_t kOcGroup = 64;
+
+/// What every GEMM task reads.
+struct QgemmArgs {
+  const std::uint8_t* a;  // biased rows, stride lda
+  std::size_t lda;        // qgemm_row_bytes(k)
+  std::size_t k;
+  std::size_t rows;  // output channels
+  const PackedQuantMatrix* w;
+  const float* bias;
+  bool fuse_relu;
+  float a_scale;
+  std::int32_t a_zp;
+  float* out;
+};
+
+/// Sum of a biased row's real int8 values (the legacy weight-zero-point
+/// term needs it).
+std::int64_t activation_sum(const std::uint8_t* row, std::size_t k) {
+  std::int64_t sum = 0;
+  for (std::size_t p = 0; p < k; ++p) sum += row[p];
+  return sum - 128 * static_cast<std::int64_t>(k);
+}
+
+/// Scalar epilogue of one raw accumulation acc = sum((a + 128) * w): the
+/// exact int64 zero-point correction
+///   sum((a - a_zp)(w - w_zp)) = acc - (a_zp + 128) row_sum[r]
+///                               - w_zp sum(a) + a_zp w_zp k,
+/// then requantize_epilogue.  `a_sum` = sum(a), read only when w_zp != 0.
+inline float emit_scalar(const QgemmArgs& g, std::size_t r, std::int32_t acc,
+                         std::int64_t a_sum) {
+  const std::int64_t a_zp = g.a_zp;
+  const std::int64_t w_zp = g.w->weight_zero_point();
+  const std::int64_t corrected =
+      static_cast<std::int64_t>(acc) - (a_zp + 128) * g.w->row_sums()[r] -
+      w_zp * a_sum + a_zp * w_zp * static_cast<std::int64_t>(g.k);
+  return requantize_epilogue(corrected, g.a_scale * g.w->scales()[r], g.bias,
+                             r, g.fuse_relu);
+}
 
 /// Accumulates `nrows` length-`chunk` dot products into acc[0..nrows):
 /// pre-widened int16 activations x int8 weight rows, int32 accumulation,
 /// two rows per pass so the activation loads amortize.  This body is the
-/// hot loop of the engine; it is compiled at several ISA levels below.
+/// hot loop below VNNI; it is compiled at several ISA levels below.
 __attribute__((always_inline)) inline void qgemm_rows_body(
     const std::int16_t* a16, const std::int8_t* w, std::size_t stride,
     std::size_t chunk, std::size_t nrows, std::int32_t* acc) {
@@ -494,154 +599,143 @@ __attribute__((target("avx512f,avx512bw,avx512vl"))) void qgemm_rows_avx512(
   }
 }
 
-/// One vpdpbusd step: 64 unsigned-activation x signed-weight byte products
-/// accumulated into 16 int32 lanes in a single instruction.  Each lane sums
-/// 4 products bounded by 255*128, so the lane arithmetic is exact.
-__attribute__((target("avx512f,avx512bw,avx512vl,avx512vnni"),
-               always_inline)) inline __m512i dp64(__m512i sum,
-                                                   const std::uint8_t* a,
-                                                   const std::int8_t* w) {
-  return _mm512_dpbusd_epi32(
-      sum, _mm512_loadu_si512(reinterpret_cast<const void*>(a)),
-      _mm512_loadu_si512(reinterpret_cast<const void*>(w)));
-}
-
-/// VNNI kernel: activations are pre-offset to unsigned (a + 128), so
-/// acc[r] accumulates sum((a+128) * w); the caller removes the constant
-/// 128 * row_sums[r] in the (exact, integer) epilogue correction.  Handles
-/// any chunk via a masked final step; masked-off lanes contribute zero.
+/// VNNI register tile: MR activation rows x NB 16-channel panel blocks,
+/// starting at row i0 and block b0.  Each k step loads NB panel vectors
+/// (4 kernel columns of 16 channels each), broadcasts one activation dword
+/// per row and runs MR * NB independent vpdpbusd, so every lane of every
+/// accumulator is one output (row, channel): no horizontal reductions.
+/// Each lane sums 4 products bounded by 255 * 128 per step, exact in int32
+/// for k <= 2^16.  The epilogue then runs 16 channels per vector.
+template <int MR, int NB>
 __attribute__((target("avx512f,avx512bw,avx512vl,avx512vnni"))) void
-qgemm_rows_vnni(const std::uint8_t* au8, const std::int8_t* w,
-                std::size_t stride, std::size_t chunk, std::size_t nrows,
-                std::int32_t* acc) {
-  std::size_t r = 0;
-  for (; r + 1 < nrows; r += 2) {
-    const std::int8_t* w0 = w + r * stride;
-    const std::int8_t* w1 = w0 + stride;
-    __m512i s0a = _mm512_setzero_si512();
-    __m512i s0b = _mm512_setzero_si512();
-    __m512i s1a = _mm512_setzero_si512();
-    __m512i s1b = _mm512_setzero_si512();
-    std::size_t p = 0;
-    for (; p + 128 <= chunk; p += 128) {
-      s0a = dp64(s0a, au8 + p, w0 + p);
-      s0b = dp64(s0b, au8 + p + 64, w0 + p + 64);
-      s1a = dp64(s1a, au8 + p, w1 + p);
-      s1b = dp64(s1b, au8 + p + 64, w1 + p + 64);
-    }
-    for (; p + 64 <= chunk; p += 64) {
-      s0a = dp64(s0a, au8 + p, w0 + p);
-      s1a = dp64(s1a, au8 + p, w1 + p);
-    }
-    if (p < chunk) {
-      const __mmask64 mask = (1ULL << (chunk - p)) - 1;
-      const __m512i av = _mm512_maskz_loadu_epi8(mask, au8 + p);
-      s0b = _mm512_dpbusd_epi32(s0b, av,
-                                _mm512_maskz_loadu_epi8(mask, w0 + p));
-      s1b = _mm512_dpbusd_epi32(s1b, av,
-                                _mm512_maskz_loadu_epi8(mask, w1 + p));
-    }
-    acc[r] += _mm512_reduce_add_epi32(_mm512_add_epi32(s0a, s0b));
-    acc[r + 1] += _mm512_reduce_add_epi32(_mm512_add_epi32(s1a, s1b));
+qgemm_tile_vnni(const QgemmArgs& g, std::size_t i0, std::size_t b0) {
+  const std::size_t block_bytes = 16 * g.lda;
+  const std::int8_t* panel = g.w->panel() + b0 * block_bytes;
+  const std::uint8_t* a = g.a + i0 * g.lda;
+  __m512i acc[MR][NB];
+#pragma GCC unroll 8
+  for (int i = 0; i < MR; ++i) {
+#pragma GCC unroll 4
+    for (int j = 0; j < NB; ++j) acc[i][j] = _mm512_setzero_si512();
   }
-  if (r < nrows) {
-    const std::int8_t* wr = w + r * stride;
-    __m512i sa = _mm512_setzero_si512();
-    __m512i sb = _mm512_setzero_si512();
-    std::size_t p = 0;
-    for (; p + 128 <= chunk; p += 128) {
-      sa = dp64(sa, au8 + p, wr + p);
-      sb = dp64(sb, au8 + p + 64, wr + p + 64);
+  for (std::size_t p = 0; p < g.lda; p += 4) {
+    __m512i wv[NB];
+#pragma GCC unroll 4
+    for (int j = 0; j < NB; ++j) {
+      wv[j] = _mm512_load_si512(panel + j * block_bytes + p * 16);
     }
-    for (; p + 64 <= chunk; p += 64) sa = dp64(sa, au8 + p, wr + p);
-    if (p < chunk) {
-      const __mmask64 mask = (1ULL << (chunk - p)) - 1;
-      sb = _mm512_dpbusd_epi32(sb, _mm512_maskz_loadu_epi8(mask, au8 + p),
-                               _mm512_maskz_loadu_epi8(mask, wr + p));
+#pragma GCC unroll 8
+    for (int i = 0; i < MR; ++i) {
+      std::int32_t dword;
+      std::memcpy(&dword, a + i * g.lda + p, 4);
+      const __m512i av = _mm512_set1_epi32(dword);
+#pragma GCC unroll 4
+      for (int j = 0; j < NB; ++j) {
+        acc[i][j] = _mm512_dpbusd_epi32(acc[i][j], av, wv[j]);
+      }
     }
-    acc[r] += _mm512_reduce_add_epi32(_mm512_add_epi32(sa, sb));
+  }
+
+  const std::int32_t* row_sums = g.w->row_sums().data();
+  const float* scales = g.w->scales().data();
+  const bool legacy = g.w->weight_zero_point() != 0;
+  for (int j = 0; j < NB; ++j) {
+    const std::size_t r0 = (b0 + j) * 16;
+    const std::size_t width = std::min<std::size_t>(16, g.rows - r0);
+    const auto mask = static_cast<__mmask16>((1U << width) - 1);
+    if (legacy) {  // per-tensor weights: the scalar int64 correction
+      alignas(64) std::int32_t lanes[16];
+      for (int i = 0; i < MR; ++i) {
+        _mm512_store_si512(lanes, acc[i][j]);
+        const std::int64_t a_sum = activation_sum(a + i * g.lda, g.k);
+        for (std::size_t t = 0; t < width; ++t) {
+          g.out[(i0 + i) * g.rows + r0 + t] =
+              emit_scalar(g, r0 + t, lanes[t], a_sum);
+        }
+      }
+      continue;
+    }
+    // Symmetric weights: sum((a - a_zp) w) = acc - (a_zp + 128) row_sum is
+    // at most 255 * 128 * 2^16 < 2^31 in magnitude, so the wrapping int32
+    // arithmetic yields it exactly.  Then requantize_epilogue's float ops
+    // in its order: scale = a_scale * w_scale[r], scale * float(corrected),
+    // + bias, ReLU.  max(0, v) returns v for NaN and -0, like `v < 0`.
+    const __m512i zp_sums =
+        _mm512_mullo_epi32(_mm512_set1_epi32(g.a_zp + 128),
+                           _mm512_maskz_loadu_epi32(mask, row_sums + r0));
+    const __m512 scale =
+        _mm512_mul_ps(_mm512_set1_ps(g.a_scale),
+                      _mm512_maskz_loadu_ps(mask, scales + r0));
+    const __m512 bias = g.bias != nullptr
+                            ? _mm512_maskz_loadu_ps(mask, g.bias + r0)
+                            : _mm512_setzero_ps();
+    // (Zero-masked convert and max: GCC 12's unmasked forms pass an
+    // undefined register and trip -Wmaybe-uninitialized.)
+    for (int i = 0; i < MR; ++i) {
+      __m512 v = _mm512_mul_ps(
+          scale, _mm512_maskz_cvtepi32_ps(
+                     mask, _mm512_sub_epi32(acc[i][j], zp_sums)));
+      if (g.bias != nullptr) v = _mm512_add_ps(v, bias);
+      if (g.fuse_relu) v = _mm512_maskz_max_ps(mask, _mm512_setzero_ps(), v);
+      _mm512_mask_storeu_ps(g.out + (i0 + i) * g.rows + r0, mask, v);
+    }
   }
 }
 
-/// i-blocked VNNI kernel for batched GEMMs (m >= 16): `at4` stages 16 rows
-/// of A in 4-byte-interleaved layout — dword p4 of lane ii holds bytes
-/// a[i0+ii, 4*p4 .. 4*p4+3] biased to unsigned — so every vpdpbusd lane
-/// accumulates a *different output row of A* against a broadcast weight
-/// dword.  After the k loop the 16 lanes ARE out[i0..i0+16, r]: zero
-/// horizontal reductions, the structural cost of the per-i kernels above.
-/// `acc` is [nrows][16] int32; `first_chunk` seeds it.
-__attribute__((target("avx512f,avx512bw,avx512vl,avx512vnni"))) void
-qgemm_tile16_vnni(const std::uint8_t* at4, std::size_t chunk,
-                  const std::int8_t* w, std::size_t wstride,
-                  std::size_t nrows, bool first_chunk, std::int32_t* acc) {
-  const std::size_t q = chunk / 4;  // callers pad chunk to a multiple of 16
-  std::size_t r = 0;
-  for (; r + 1 < nrows; r += 2) {
-    const std::int8_t* w0 = w + r * wstride;
-    const std::int8_t* w1 = w0 + wstride;
-    __m512i s0 = first_chunk
-                     ? _mm512_setzero_si512()
-                     : _mm512_loadu_si512(acc + r * 16);
-    __m512i s1 = first_chunk
-                     ? _mm512_setzero_si512()
-                     : _mm512_loadu_si512(acc + (r + 1) * 16);
-    for (std::size_t p4 = 0; p4 < q; ++p4) {
-      const __m512i av = _mm512_loadu_si512(at4 + p4 * 64);
-      std::int32_t wd0;
-      std::int32_t wd1;
-      std::memcpy(&wd0, w0 + 4 * p4, 4);
-      std::memcpy(&wd1, w1 + 4 * p4, 4);
-      s0 = _mm512_dpbusd_epi32(s0, av, _mm512_set1_epi32(wd0));
-      s1 = _mm512_dpbusd_epi32(s1, av, _mm512_set1_epi32(wd1));
-    }
-    _mm512_storeu_si512(acc + r * 16, s0);
-    _mm512_storeu_si512(acc + (r + 1) * 16, s1);
-  }
-  if (r < nrows) {
-    const std::int8_t* wr = w + r * wstride;
-    __m512i s = first_chunk
-                    ? _mm512_setzero_si512()
-                    : _mm512_loadu_si512(acc + r * 16);
-    for (std::size_t p4 = 0; p4 < q; ++p4) {
-      std::int32_t wd4;
-      std::memcpy(&wd4, wr + 4 * p4, 4);
-      s = _mm512_dpbusd_epi32(s, _mm512_loadu_si512(at4 + p4 * 64),
-                              _mm512_set1_epi32(wd4));
-    }
-    _mm512_storeu_si512(acc + r * 16, s);
+/// Blocks per register tile: up to 3 rows (single-sample dense layers,
+/// small batches) take 4 blocks so at least 4 accumulator chains run; 4-8
+/// rows take 2 (at most 16 accumulators).
+constexpr int tile_blocks(int rows) { return rows <= 3 ? 4 : 2; }
+
+using VnniTile = void (*)(const QgemmArgs&, std::size_t, std::size_t);
+
+template <int MR>
+constexpr std::array<VnniTile, 4> vnni_tiles() {
+  return {&qgemm_tile_vnni<MR, std::min(1, tile_blocks(MR))>,
+          &qgemm_tile_vnni<MR, std::min(2, tile_blocks(MR))>,
+          &qgemm_tile_vnni<MR, std::min(3, tile_blocks(MR))>,
+          &qgemm_tile_vnni<MR, std::min(4, tile_blocks(MR))>};
+}
+
+/// kVnniTiles[mr - 1][nb - 1] runs an mr x nb tile.
+constexpr std::array<std::array<VnniTile, 4>, kTileRows> kVnniTiles = {
+    vnni_tiles<1>(), vnni_tiles<2>(), vnni_tiles<3>(), vnni_tiles<4>(),
+    vnni_tiles<5>(), vnni_tiles<6>(), vnni_tiles<7>(), vnni_tiles<8>()};
+
+/// One GEMM task on VNNI: rows [i0, i0 + mr) x blocks [b0, b0 + nblocks).
+void qgemm_task_vnni(const QgemmArgs& g, std::size_t i0, std::size_t mr,
+                     std::size_t b0, std::size_t nblocks) {
+  const auto step = static_cast<std::size_t>(tile_blocks(static_cast<int>(mr)));
+  for (std::size_t b = 0; b < nblocks; b += step) {
+    const std::size_t nb = std::min(step, nblocks - b);
+    kVnniTiles[mr - 1][nb - 1](g, i0, b0 + b);
   }
 }
 
-/// Stages one 4x16 group of the interleaved VNNI tile straight from the
-/// transposed [k, m] activation layout: rows p..p+3 each contribute 16
-/// contiguous bytes (columns i0..i0+15), byte-transposed so dword lane ii
-/// holds bytes a[i0+ii, p..p+3], XOR 0x80 biased to unsigned.  Pure SSE2 —
-/// baseline on x86-64, so no target attribute / dispatch needed.
-inline void transpose4x16_bias(const std::int8_t* r0, const std::int8_t* r1,
-                               const std::int8_t* r2, const std::int8_t* r3,
-                               std::uint8_t* dst) {
-  const __m128i sign = _mm_set1_epi8(static_cast<char>(0x80));
-  const __m128i v0 = _mm_xor_si128(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(r0)), sign);
-  const __m128i v1 = _mm_xor_si128(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(r1)), sign);
-  const __m128i v2 = _mm_xor_si128(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(r2)), sign);
-  const __m128i v3 = _mm_xor_si128(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(r3)), sign);
-  // Two unpack levels build the byte transpose: after epi8 interleave,
-  // 16-bit units are (r0[i], r1[i]) / (r2[i], r3[i]) pairs; interleaving
-  // those yields dwords r0[i],r1[i],r2[i],r3[i] in column order.
-  const __m128i t0 = _mm_unpacklo_epi8(v0, v1);
-  const __m128i t1 = _mm_unpackhi_epi8(v0, v1);
-  const __m128i t2 = _mm_unpacklo_epi8(v2, v3);
-  const __m128i t3 = _mm_unpackhi_epi8(v2, v3);
-  __m128i* d = reinterpret_cast<__m128i*>(dst);
-  _mm_storeu_si128(d + 0, _mm_unpacklo_epi16(t0, t2));
-  _mm_storeu_si128(d + 1, _mm_unpackhi_epi16(t0, t2));
-  _mm_storeu_si128(d + 2, _mm_unpacklo_epi16(t1, t3));
-  _mm_storeu_si128(d + 3, _mm_unpackhi_epi16(t1, t3));
-}
+/// Byte moves of the int8 gather with AVX-512BW: 64-byte vectors, the last
+/// (or only) one masked, so a run never touches a byte outside itself.
+/// Not always_inline: GCC inlines them into the target-attributed gather
+/// below, and a generic template body may name them.
+struct MaskedBytes {
+  __attribute__((target("avx512f,avx512bw"))) static __mmask64 first(
+      std::size_t n) {
+    return n >= 64 ? ~0ULL : (1ULL << n) - 1;
+  }
+  __attribute__((target("avx512f,avx512bw"))) static void copy(
+      std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
+    for (; n > 64; n -= 64, dst += 64, src += 64) {
+      _mm512_storeu_si512(dst, _mm512_loadu_si512(src));
+    }
+    const __mmask64 mask = first(n);
+    _mm512_mask_storeu_epi8(dst, mask, _mm512_maskz_loadu_epi8(mask, src));
+  }
+  __attribute__((target("avx512f,avx512bw"))) static void fill(
+      std::uint8_t* dst, std::uint8_t value, std::size_t n) {
+    const __m512i v = _mm512_set1_epi8(static_cast<char>(value));
+    for (; n > 64; n -= 64, dst += 64) _mm512_storeu_si512(dst, v);
+    _mm512_mask_storeu_epi8(dst, first(n), v);
+  }
+};
 #endif
 
 void qgemm_rows(const std::int16_t* a16, const std::int8_t* w,
@@ -663,304 +757,190 @@ void qgemm_rows(const std::int16_t* a16, const std::int8_t* w,
   qgemm_rows_body(a16, w, stride, chunk, nrows, acc);
 }
 
-/// Copies column `col` of the [k, m] activations (stride `m`) into a
-/// contiguous staging buffer through `convert`.  At m == 1 — single-sample
-/// dense layers — the column is contiguous and the copy vectorizes.
-template <typename T, typename Convert>
-__attribute__((always_inline)) inline void gather_column(
-    const std::int8_t* col, std::size_t m, std::size_t n, T* dst,
-    Convert convert) {
-  if (m == 1) {
-    for (std::size_t p = 0; p < n; ++p) dst[p] = convert(col[p]);
-    return;
+/// One GEMM task below VNNI: rows [i0, i1) x channels [r0, r1), one row at
+/// a time — widen its contiguous bytes to int16 (zero past k, meeting the
+/// zero-padded weights), run the pmaddwd row kernels, emit each output.
+void qgemm_task_rows(const QgemmArgs& g, std::size_t i0, std::size_t i1,
+                     std::size_t r0, std::size_t r1) {
+  const std::int8_t* wd = g.w->kernel_data() + r0 * g.w->kernel_cols();
+  const std::size_t k_pad = g.w->kernel_cols();
+  const bool legacy = g.w->weight_zero_point() != 0;
+  std::int16_t a16[kWidenTile];
+  std::int32_t acc[kOcGroup];
+  for (std::size_t i = i0; i < i1; ++i) {
+    const std::uint8_t* row = g.a + i * g.lda;
+    std::fill(acc, acc + (r1 - r0), 0);
+    for (std::size_t p0 = 0; p0 < k_pad; p0 += kWidenTile) {
+      const std::size_t chunk = std::min(kWidenTile, k_pad - p0);
+      const std::size_t real = p0 < g.k ? std::min(chunk, g.k - p0) : 0;
+      for (std::size_t p = 0; p < real; ++p) a16[p] = row[p0 + p];
+      std::fill(a16 + real, a16 + chunk, 0);
+      qgemm_rows(a16, wd + p0, k_pad, chunk, r1 - r0, acc);
+    }
+    const std::int64_t a_sum = legacy ? activation_sum(row, g.k) : 0;
+    for (std::size_t r = r0; r < r1; ++r) {
+      g.out[i * g.rows + r] = emit_scalar(g, r, acc[r - r0], a_sum);
+    }
   }
-  for (std::size_t p = 0; p < n; ++p) dst[p] = convert(col[p * m]);
 }
+
+/// Byte moves of the int8 gather without AVX-512BW.
+struct PlainBytes {
+  static void copy(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
+    std::memcpy(dst, src, n);
+  }
+  static void fill(std::uint8_t* dst, std::uint8_t value, std::size_t n) {
+    std::memset(dst, value, n);
+  }
+};
+
+/// im2col_nhwc_q8 over output rows [slab_lo, slab_hi) of the n * out_h
+/// (image, output row) pairs.  Kernel row kh of one output row is one input
+/// row: output columns [ow_a, ow_b) read k whole pixels of it, a fixed-size
+/// run from a pointer advancing by stride * C; the columns at the edges
+/// (padding) and the rows outside the image take the padded forms.
+template <typename Bytes>
+__attribute__((always_inline)) inline void gather_q8_slabs(
+    const std::uint8_t* input, std::size_t in_h, std::size_t in_w,
+    const Conv2dSpec& spec, std::uint8_t pad, std::size_t slab_lo,
+    std::size_t slab_hi, std::uint8_t* out) {
+  const std::size_t channels = spec.in_channels;
+  const std::size_t k = spec.kernel;
+  const std::size_t stride = spec.stride;
+  const std::size_t out_h = spec.out_size(in_h);
+  const std::size_t out_w = spec.out_size(in_w);
+  const std::size_t run = k * channels;
+  const std::size_t patch = k * run;
+  const std::size_t lda = qgemm_row_bytes(patch);
+  const std::size_t ow_a =
+      std::min(out_w, (spec.padding + stride - 1) / stride);
+  const std::size_t ow_b = std::max(
+      ow_a, in_w + spec.padding < k
+                ? 0
+                : std::min(out_w, (in_w + spec.padding - k) / stride + 1));
+  for (std::size_t slab = slab_lo; slab < slab_hi; ++slab) {
+    const std::uint8_t* image = input + slab / out_h * in_h * in_w * channels;
+    const std::size_t oh = slab % out_h;
+    std::uint8_t* rows = out + slab * out_w * lda;
+    for (std::size_t kh = 0; kh < k; ++kh) {
+      std::uint8_t* seg = rows + kh * run;
+      const long ih = static_cast<long>(oh * stride + kh) -
+                      static_cast<long>(spec.padding);
+      if (ih < 0 || static_cast<std::size_t>(ih) >= in_h) {
+        for (std::size_t ow = 0; ow < out_w; ++ow) {
+          Bytes::fill(seg + ow * lda, pad, run);
+        }
+        continue;
+      }
+      const std::uint8_t* line =
+          image + static_cast<std::size_t>(ih) * in_w * channels;
+      // Kernel columns [kw_lo, kw_hi) of an edge column land in the row.
+      auto edge = [&](std::size_t ow) {
+        const long iw0 = static_cast<long>(ow * stride) -
+                         static_cast<long>(spec.padding);
+        const auto kw_lo = static_cast<std::size_t>(
+            std::clamp(-iw0, 0L, static_cast<long>(k)));
+        const auto kw_hi = static_cast<std::size_t>(std::clamp(
+            static_cast<long>(in_w) - iw0, static_cast<long>(kw_lo),
+            static_cast<long>(k)));
+        std::uint8_t* dst = seg + ow * lda;
+        const std::size_t lo = kw_lo * channels;
+        const std::size_t hi = kw_hi * channels;
+        Bytes::fill(dst, pad, lo);
+        if (hi > lo) {
+          Bytes::copy(dst + lo,
+                      line + iw0 * static_cast<long>(channels) +
+                          static_cast<long>(lo),
+                      hi - lo);
+        }
+        Bytes::fill(dst + hi, pad, run - hi);
+      };
+      for (std::size_t ow = 0; ow < ow_a; ++ow) edge(ow);
+      for (std::size_t ow = ow_a; ow < ow_b; ++ow) {
+        Bytes::copy(seg + ow * lda,
+                    line + (ow * stride - spec.padding) * channels, run);
+      }
+      for (std::size_t ow = ow_b; ow < out_w; ++ow) edge(ow);
+    }
+    for (std::size_t ow = 0; ow < out_w && lda != patch; ++ow) {
+      Bytes::fill(rows + ow * lda + patch, biased(0), lda - patch);
+    }
+  }
+}
+
+#if OPENEI_X86_SIMD_DISPATCH
+__attribute__((target("avx512f,avx512bw"))) void gather_q8_slabs_avx512(
+    const std::uint8_t* input, std::size_t in_h, std::size_t in_w,
+    const Conv2dSpec& spec, std::uint8_t pad, std::size_t slab_lo,
+    std::size_t slab_hi, std::uint8_t* out) {
+  gather_q8_slabs<MaskedBytes>(input, in_h, in_w, spec, pad, slab_lo, slab_hi,
+                               out);
+}
+#endif
 
 }  // namespace
 
-/// The int8 GEMM driver: int32 dot products over packed weight rows,
-/// zero-point corrections via precomputed row sums, then the shared float
-/// epilogue per output element.  Parallel partitions only split (i, r)
-/// space; each element's integer accumulation is exact, so results are
-/// bit-identical at any thread count (and at any SIMD dispatch level).  The
-/// batched VNNI tile stages its 4-byte-interleaved lanes from `at` with
-/// contiguous 16-byte loads and an in-register byte transpose; the
-/// per-sample path gathers one activation column.
-void qgemm_t(const std::int8_t* at, std::size_t m, std::size_t k,
-             const QuantParams& a_params, const PackedQuantMatrix& w,
-             const float* bias, bool fuse_relu, float* out) {
-  OPENEI_CHECK(k == w.cols(), "qgemm_t inner dims differ: ", k, " vs ",
+/// The int8 GEMM.  Tasks are (tile of kTileRows rows) x (group of
+/// kOcGroup channels); every output is produced by exactly one task with a
+/// fixed accumulation order, so results are bit-identical at any thread
+/// count, and the exact integer sums make them identical across ISA levels.
+void qgemm(const std::uint8_t* a, std::size_t m, std::size_t k,
+           const QuantParams& a_params, const PackedQuantMatrix& w,
+           const float* bias, bool fuse_relu, float* out) {
+  OPENEI_CHECK(k == w.cols(), "qgemm inner dims differ: ", k, " vs ",
                w.cols());
-  OPENEI_CHECK(k <= kQgemmMaxK, "qgemm_t k ", k, " exceeds int32-exact bound");
-  // The kernel view is zero-padded to 16-lane rows; matching zero-padded
-  // activations contribute nothing, so all correction terms keep real k.
-  const std::int8_t* wd = w.kernel_data();
-  const std::size_t k_pad = w.kernel_cols();
-  const float* ws = w.scales().data();
-  const std::int32_t* row_sums = w.row_sums().data();
-  const std::size_t rows = w.rows();
-  const auto a_zp = static_cast<std::int64_t>(a_params.zero_point);
-  const auto w_zp = static_cast<std::int64_t>(w.weight_zero_point());
-  const std::int64_t zp_cross = a_zp * w_zp * static_cast<std::int64_t>(k);
+  OPENEI_CHECK(k <= kQgemmMaxK, "qgemm k ", k, " exceeds int32-exact bound");
+  const QgemmArgs g{a,        qgemm_row_bytes(k), k,
+                    w.rows(), &w,                 bias,
+                    fuse_relu, a_params.scale,    a_params.zero_point,
+                    out};
 #if OPENEI_X86_SIMD_DISPATCH
-  // The VNNI kernels consume activations offset to unsigned (a + 128); their
-  // raw accumulation therefore carries an extra 128 * row_sums[r], removed
-  // below via acc_zp.  Integer arithmetic throughout, so still exact.
-  const bool use_vnni = simd_level() >= 3;
-#else
-  constexpr bool use_vnni = false;
+  const bool vnni = simd_level() >= 3;
 #endif
-  const std::int64_t acc_zp = a_zp + (use_vnni ? 128 : 0);
-
-  // Zero-point correction of one raw accumulation, then the epilogue.
-  auto emit = [&](std::size_t i, std::size_t r, std::int32_t acc,
-                  std::int64_t a_sum) {
-    std::int64_t corrected = static_cast<std::int64_t>(acc) -
-                             acc_zp * static_cast<std::int64_t>(row_sums[r]) -
-                             w_zp * a_sum + zp_cross;
-    out[i * rows + r] = requantize_epilogue(corrected, a_params.scale * ws[r],
-                                            bias, r, fuse_relu);
-  };
-
-  // Per-sample path: stage activation column i, then run the per-i kernels
-  // over weight rows [r0, r1).
-  auto row_block = [&](std::size_t i, std::size_t r0, std::size_t r1) {
-    const std::int8_t* col = at + i;
-    std::int64_t a_sum = 0;
-    if (w_zp != 0) {
-      for (std::size_t p = 0; p < k; ++p) a_sum += col[p * m];
+  const std::size_t groups = (g.rows + kOcGroup - 1) / kOcGroup;
+  const std::size_t tasks = (m + kTileRows - 1) / kTileRows * groups;
+  auto task = [&](std::size_t t) {
+    const std::size_t i0 = t / groups * kTileRows;
+    const std::size_t r0 = t % groups * kOcGroup;
+    const std::size_t i1 = std::min(m, i0 + kTileRows);
+    const std::size_t r1 = std::min(g.rows, r0 + kOcGroup);
+#if OPENEI_X86_SIMD_DISPATCH
+    if (vnni) {
+      qgemm_task_vnni(g, i0, i1 - i0, r0 / 16, (r1 - r0 + 15) / 16);
+      return;
     }
-    std::int16_t a16[kWidenTile];
-#if OPENEI_X86_SIMD_DISPATCH
-    std::uint8_t au8[kWidenTile];
 #endif
-    std::int32_t acc[kRowTile];
-    for (std::size_t rt = r0; rt < r1; rt += kRowTile) {
-      const std::size_t nrows = std::min(kRowTile, r1 - rt);
-      std::fill(acc, acc + nrows, 0);
-      // Tile k so the staged activations stay in the stack buffer; the
-      // integer accumulators carry across chunks, so the sum is exact.
-      // Activations beyond real k stage to (offset) zero, mirroring the
-      // weight pad.
-      for (std::size_t p0 = 0; p0 < k_pad; p0 += kWidenTile) {
-        const std::size_t chunk = std::min(kWidenTile, k_pad - p0);
-        const std::size_t real = p0 < k ? std::min(chunk, k - p0) : 0;
-        const std::int8_t* src = col + p0 * m;
-#if OPENEI_X86_SIMD_DISPATCH
-        if (use_vnni) {
-          // Two's-complement +128 is XOR 0x80: int8 -> biased uint8.
-          gather_column(src, m, real, au8, [](std::int8_t v) {
-            return static_cast<std::uint8_t>(static_cast<std::uint8_t>(v) ^
-                                             0x80U);
-          });
-          std::fill(au8 + real, au8 + chunk, 0x80U);
-          qgemm_rows_vnni(au8, wd + rt * k_pad + p0, k_pad, chunk, nrows,
-                          acc);
-          continue;
-        }
-#endif
-        gather_column(src, m, real, a16,
-                      [](std::int8_t v) { return std::int16_t{v}; });
-        std::fill(a16 + real, a16 + chunk, 0);
-        qgemm_rows(a16, wd + rt * k_pad + p0, k_pad, chunk, nrows, acc);
-      }
-      for (std::size_t j = 0; j < nrows; ++j) emit(i, rt + j, acc[j], a_sum);
-    }
+    qgemm_task_rows(g, i0, i1, r0, r1);
   };
-
-#if OPENEI_X86_SIMD_DISPATCH
-  if (use_vnni && m >= 16) {
-    // Batched path: 16-sample tiles of A through the lane-parallel kernel.
-    // kPackTile bounds the staged tile (16 * 1024 = 16 KB on the stack).
-    constexpr std::size_t kPackTile = 1024;
-    auto tile_block = [&](std::size_t i0, std::size_t ni) {
-      std::int64_t a_sums[16] = {};
-      if (w_zp != 0) {
-        for (std::size_t p = 0; p < k; ++p) {
-          const std::int8_t* arow = at + p * m + i0;
-          for (std::size_t ii = 0; ii < ni; ++ii) a_sums[ii] += arow[ii];
-        }
-      }
-      std::uint8_t at4[16 * kPackTile];
-      std::int32_t acc[kRowTile * 16];
-      for (std::size_t rt = 0; rt < rows; rt += kRowTile) {
-        const std::size_t nrows = std::min(kRowTile, rows - rt);
-        bool first = true;
-        for (std::size_t p0 = 0; p0 < k_pad; p0 += kPackTile) {
-          const std::size_t chunk = std::min(kPackTile, k_pad - p0);
-          // Stage groups of 4 activation rows into the interleaved tile.
-          // Full 16-lane groups use the SSE byte transpose (contiguous
-          // loads from the [k, m] layout); k-boundary and ragged-width
-          // groups fall back to the scalar fill with biased-zero padding
-          // (unused lanes' outputs are never emitted).
-          for (std::size_t p = 0; p < chunk; p += 4) {
-            const std::size_t gp = p0 + p;
-            std::uint8_t* dst = at4 + (p / 4) * 64;
-            if (ni == 16 && gp + 4 <= k) {
-              const std::int8_t* base = at + gp * m + i0;
-              transpose4x16_bias(base, base + m, base + 2 * m, base + 3 * m,
-                                 dst);
-            } else {
-              for (std::size_t j = 0; j < 4; ++j) {
-                const std::size_t gpj = gp + j;
-                for (std::size_t ii = 0; ii < 16; ++ii) {
-                  dst[ii * 4 + j] =
-                      (gpj < k && ii < ni)
-                          ? static_cast<std::uint8_t>(at[gpj * m + i0 + ii]) ^
-                                0x80U
-                          : 0x80U;
-                }
-              }
-            }
-          }
-          qgemm_tile16_vnni(at4, chunk, wd + rt * k_pad + p0, k_pad, nrows,
-                            first, acc);
-          first = false;
-        }
-        if (first) std::fill(acc, acc + nrows * 16, 0);  // k == 0 guard
-        for (std::size_t j = 0; j < nrows; ++j) {
-          for (std::size_t ii = 0; ii < ni; ++ii) {
-            emit(i0 + ii, rt + j, acc[j * 16 + ii], a_sums[ii]);
-          }
-        }
-      }
-    };
-    const std::size_t tiles = (m + 15) / 16;
-    common::parallel_for(
-        0, tiles,
-        [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t t = lo; t < hi; ++t) {
-            tile_block(t * 16, std::min<std::size_t>(16, m - t * 16));
-          }
-        },
-        /*grain=*/std::max<std::size_t>(
-            1, kQgemmSerialMacs / std::max<std::size_t>(1, 16 * k * rows)));
-    return;
-  }
-#endif
-  if (m * rows * k < kQgemmSerialMacs) {
-    for (std::size_t i = 0; i < m; ++i) row_block(i, 0, rows);
-    return;
-  }
-  if (m == 1) {
-    // Single-sample inference: split the packed weight rows across the pool.
-    common::parallel_for(
-        0, rows, [&](std::size_t lo, std::size_t hi) { row_block(0, lo, hi); },
-        /*grain=*/std::max<std::size_t>(
-            1, kQgemmSerialMacs / std::max<std::size_t>(1, k)));
-    return;
-  }
   common::parallel_for(
-      0, m,
+      0, tasks,
       [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) row_block(i, 0, rows);
+        for (std::size_t t = lo; t < hi; ++t) task(t);
       },
-      /*grain=*/std::max<std::size_t>(
-          1, kQgemmSerialMacs / std::max<std::size_t>(1, k * rows)));
+      common::grain_for(
+          common::kForkMacs,
+          std::min(m, kTileRows) * k * std::min(g.rows, kOcGroup)));
 }
 
-void im2col_q8t(const std::int8_t* input, std::size_t n, std::size_t in_h,
-                std::size_t in_w, const Conv2dSpec& spec,
-                std::int8_t pad_value, std::int8_t* out) {
+void im2col_nhwc_q8(const std::uint8_t* input, std::size_t n, std::size_t in_h,
+                    std::size_t in_w, const Conv2dSpec& spec, std::uint8_t pad,
+                    std::uint8_t* out) {
   const std::size_t out_h = spec.out_size(in_h);
-  const std::size_t out_w = spec.out_size(in_w);
-  const std::size_t patch = spec.in_channels * spec.kernel * spec.kernel;
-  const std::size_t image_elems = spec.in_channels * in_h * in_w;
-  const std::size_t m = n * out_h * out_w;
-  const auto fill = static_cast<unsigned char>(pad_value);
-  const std::size_t plane_elems = in_h * in_w;
-  const bool same = spec.stride == 1 && out_h == in_h && out_w == in_w;
-  const long h = static_cast<long>(in_h);
-  const long w = static_cast<long>(in_w);
-
-  // In the [patch, m] layout each (patch row, image, output row) triple is
-  // one contiguous out_w-byte run: padding becomes memset and — at stride
-  // 1, the common conv case — the interior becomes a straight memcpy from
-  // the input row.  That is the whole point of the transposed layout; the
-  // [m, patch] form can only scatter strided single bytes here.
+  const std::size_t row_bytes =
+      spec.out_size(in_w) *
+      qgemm_row_bytes(spec.in_channels * spec.kernel * spec.kernel);
   common::parallel_for(
-      0, patch,
+      0, n * out_h,
       [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t p = lo; p < hi; ++p) {
-          const std::size_t ic = p / (spec.kernel * spec.kernel);
-          const std::size_t kh = (p / spec.kernel) % spec.kernel;
-          const std::size_t kw = p % spec.kernel;
-          // Valid output-column range: iw = ow*stride + kw - padding must
-          // land in [0, in_w).
-          const long shift =
-              static_cast<long>(kw) - static_cast<long>(spec.padding);
-          std::size_t ow_lo =
-              shift < 0 ? (static_cast<std::size_t>(-shift) + spec.stride - 1) /
-                              spec.stride
-                        : 0;
-          ow_lo = std::min(ow_lo, out_w);
-          const long limit = static_cast<long>(in_w) - 1 - shift;
-          const std::size_t ow_hi = std::max(
-              ow_lo,
-              limit < 0 ? 0
-                        : std::min(out_w, static_cast<std::size_t>(limit) /
-                                              spec.stride +
-                                          1));
-          std::int8_t* prow = out + p * m;
-          for (std::size_t b = 0; b < n; ++b) {
-            const std::int8_t* plane =
-                input + b * image_elems + ic * in_h * in_w;
-            if (same) {
-              // Stride 1, out == in: this patch row is the whole plane
-              // shifted by (kh - pad, kw - pad) — one memcpy, then the rows
-              // and columns shifted in from outside get the pad value.
-              std::int8_t* dst = prow + b * plane_elems;
-              const long dy =
-                  static_cast<long>(kh) - static_cast<long>(spec.padding);
-              const long d = dy * w + shift;
-              const long rows_lo = std::max(0L, -dy);
-              const long rows_hi = std::min(h, h - dy);
-              const long lo = std::min(h * w, std::max(rows_lo * w, -d));
-              const long hi = std::max(lo, std::min(rows_hi * w, h * w - d));
-              std::memset(dst, fill, static_cast<std::size_t>(lo));
-              if (hi > lo) {
-                std::memcpy(dst + lo, plane + lo + d,
-                            static_cast<std::size_t>(hi - lo));
-              }
-              std::memset(dst + hi, fill, static_cast<std::size_t>(h * w - hi));
-              for (long y = rows_lo; y < rows_hi; ++y) {  // edges: <= pad bytes
-                std::int8_t* row = dst + y * w;
-                for (std::size_t x = 0; x < ow_lo; ++x) row[x] = pad_value;
-                for (std::size_t x = ow_hi; x < out_w; ++x) row[x] = pad_value;
-              }
-              continue;
-            }
-            for (std::size_t oh = 0; oh < out_h; ++oh) {
-              std::int8_t* dst = prow + (b * out_h + oh) * out_w;
-              const long ih = static_cast<long>(oh * spec.stride + kh) -
-                              static_cast<long>(spec.padding);
-              if (ih < 0 || static_cast<std::size_t>(ih) >= in_h) {
-                std::memset(dst, fill, out_w);
-                continue;
-              }
-              const std::int8_t* irow =
-                  plane + static_cast<std::size_t>(ih) * in_w;
-              if (ow_lo > 0) std::memset(dst, fill, ow_lo);
-              const std::size_t span = ow_hi - ow_lo;
-              if (span != 0) {
-                const std::int8_t* src = irow + ow_lo * spec.stride + shift;
-                if (spec.stride == 1) {
-                  std::memcpy(dst + ow_lo, src, span);
-                } else {
-                  for (std::size_t t = 0; t < span; ++t) {
-                    dst[ow_lo + t] = src[t * spec.stride];
-                  }
-                }
-              }
-              if (ow_hi < out_w) {
-                std::memset(dst + ow_hi, fill, out_w - ow_hi);
-              }
-            }
-          }
+#if OPENEI_X86_SIMD_DISPATCH
+        if (simd_level() >= 2) {
+          gather_q8_slabs_avx512(input, in_h, in_w, spec, pad, lo, hi, out);
+          return;
         }
+#endif
+        gather_q8_slabs<PlainBytes>(input, in_h, in_w, spec, pad, lo, hi, out);
       },
-      /*grain=*/std::max<std::size_t>(1, 4096 / std::max<std::size_t>(1, m)));
+      common::grain_for(common::kForkBytes, row_bytes));
 }
 
 Tensor quantized_matmul(const QuantizedTensor& a, const QuantizedTensor& b) {

@@ -5,12 +5,19 @@
 // "quantized kernels"; QNNPACK is an int8 inference library.  This module
 // provides the same primitives: symmetric/affine quantization of float32
 // tensors to int8 (per-tensor, plus per-output-channel for weights), one int8
-// GEMM (`qgemm_t`) with int32 accumulation and a fused dequantize(+bias)
-// (+ReLU) epilogue, and int8 im2col so convolution executes genuinely
-// quantized.  Dense and conv layers both feed the GEMM activations in its
-// [k, m] layout.  Integer accumulation is exact, so the GEMM is
-// bit-identical at any OPENEI_THREADS setting and any ISA level by
+// GEMM (`qgemm`) with int32 accumulation and a fused dequantize(+bias)
+// (+ReLU) epilogue, and a channels-last int8 patch gather so convolution
+// executes genuinely quantized.  Dense and conv layers both feed the GEMM
+// row-major [m, k] activations: a dense sample or a conv output pixel's
+// patch is one contiguous row.  Integer accumulation is exact, so the GEMM
+// is bit-identical at any OPENEI_THREADS setting and any ISA level by
 // construction.
+//
+// Activation encoding: the GEMM reads each int8 activation q as the byte
+// q + 128 (q XOR 0x80), the unsigned operand AVX-512 VNNI's vpdpbusd takes.
+// The bias is applied once per element where activations are quantized
+// (`quantize_biased`); the gather only copies bytes, and the GEMM removes
+// the constant 128 * row_sum[r] in its exact integer correction.
 #pragma once
 
 #include <algorithm>
@@ -18,6 +25,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/aligned.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 
@@ -59,6 +67,22 @@ inline std::int8_t quantize_one(float v, const QuantParams& p) {
 /// quantization; the raw-buffer form the forward arena uses).
 void quantize_to_int8(const float* src, std::size_t n, const QuantParams& p,
                       std::int8_t* dst);
+
+/// The GEMM's activation byte for int8 value `q`: q + 128.
+inline std::uint8_t biased(std::int32_t q) {
+  return static_cast<std::uint8_t>(q + 128);
+}
+
+/// quantize_to_int8 writing each value in the GEMM's biased encoding
+/// (`biased(quantize_one(v, p))`): the one place the +128 is applied.
+void quantize_biased(const float* src, std::size_t n, const QuantParams& p,
+                     std::uint8_t* dst);
+
+/// Bytes per activation row `qgemm` reads for inner dimension `k`: k
+/// rounded up to a multiple of 4 (one vpdpbusd dword).  The tail bytes meet
+/// zero weights, so their value never matters; writers fill them with
+/// biased(0) so every byte is defined.
+inline std::size_t qgemm_row_bytes(std::size_t k) { return (k + 3) / 4 * 4; }
 
 /// A tensor stored as int8 with affine parameters.
 class QuantizedTensor {
@@ -109,19 +133,33 @@ class PackedQuantMatrix {
                     std::vector<std::int8_t> data, std::vector<float> scales,
                     std::int32_t weight_zero_point, bool per_channel);
 
+  /// Puts the kernel views' columns in the channels-last patch order
+  /// (kh, kw, c) that `im2col_nhwc_q8` gathers, for conv weights whose
+  /// columns are stored (c, kh, kw).  `data()` and the serialized form keep
+  /// the stored order.  Rebuilds the views from `data()`, so calling it
+  /// again with the same geometry changes nothing.
+  void use_channels_last_patches(std::size_t channels, std::size_t kernel);
+
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   const std::vector<std::int8_t>& data() const { return data_; }
-  /// Kernel view of the rows: identical int8 values, each row zero-padded to
-  /// a multiple of 16 columns so the GEMM reduction never has a ragged SIMD
-  /// tail.  Zero-padded weights contribute exactly nothing to the affine sum
-  /// (the correction terms all run over the real `cols()`), so kernels may
-  /// blindly iterate `kernel_cols()` lanes.  Derived cache like `row_sums`;
-  /// not serialized, not counted in `storage_bytes`.
+  /// Row kernel view for the pmaddwd levels: row r holds output channel r's
+  /// weights in kernel column order, zero-padded to a multiple of 16 columns
+  /// so the reduction never has a ragged SIMD tail.  Zero-padded weights
+  /// contribute exactly nothing to the affine sum (the correction terms all
+  /// run over the real `cols()`), so kernels may blindly iterate
+  /// `kernel_cols()` lanes.
   const std::int8_t* kernel_data() const {
-    return kernel_cols_ == cols_ ? data_.data() : kernel_data_.data();
+    return kernel_data_.empty() ? data_.data() : kernel_data_.data();
   }
   std::size_t kernel_cols() const { return kernel_cols_; }
+  /// Panel kernel view for the VNNI level, [rows/16][k4/4][16][4] with rows
+  /// rounded up to a multiple of 16 and k4 = qgemm_row_bytes(cols()): one
+  /// 64-byte vector holds 4 consecutive kernel columns of 16 output
+  /// channels, the signed operand of one vpdpbusd.  Padding is zero.
+  /// Both views are derived caches like `row_sums`: not serialized, not
+  /// counted in `storage_bytes`.
+  const std::int8_t* panel() const { return panel_.data(); }
   const std::vector<float>& scales() const { return scales_; }
   const std::vector<std::int32_t>& row_sums() const { return row_sums_; }
   std::int32_t weight_zero_point() const { return weight_zero_point_; }
@@ -139,12 +177,17 @@ class PackedQuantMatrix {
  private:
   PackedQuantMatrix() = default;
   void finalize();
+  void build_kernel_views();
 
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::size_t kernel_cols_ = 0;          // cols rounded up to a multiple of 16
+  std::size_t patch_channels_ = 0;       // > 0: kernel columns are (kh, kw, c)
+  std::size_t patch_kernel_ = 0;
   std::vector<std::int8_t> data_;        // [rows, cols]
-  std::vector<std::int8_t> kernel_data_; // [rows, kernel_cols], empty if equal
+  std::vector<std::int8_t> kernel_data_; // [rows, kernel_cols]; empty when
+                                         // data_ already is that view
+  common::aligned_vector<std::int8_t> panel_;  // VNNI panel, see panel()
   std::vector<float> scales_;            // [rows]
   std::vector<std::int32_t> row_sums_;   // [rows], sum of row r's int8 values
   std::int32_t weight_zero_point_ = 0;   // 0 for symmetric per-channel packs
@@ -155,34 +198,34 @@ class PackedQuantMatrix {
 /// epilogue, returning float:
 ///   out[i, r] = relu?( a.scale * w.scale[r] * (sum_p (a[i,p]-a_zp) *
 ///               (w[r,p]-w_zp)) + bias[r] )
-/// `at` holds the activations A transposed — [k, m] row-major, so column p
-/// of A is contiguous over the m samples.  Convolution writes this layout
-/// with `im2col_q8t` (contiguous memcpy/memset runs) and dense layers by
-/// quantizing each sample into its column; at m == 1 it is plain row-major.
-/// The batched VNNI kernel stages its lane tiles from it with 4x16 byte
-/// transposes.  `out` is [m, w.rows()]; `bias` may be null.  Parallelized
-/// over 16-sample tiles, samples, or weight rows (m == 1); integer
-/// accumulation is exact, so results are bit-identical at any thread count
-/// and any ISA level.
-void qgemm_t(const std::int8_t* at, std::size_t m, std::size_t k,
-             const QuantParams& a_params, const PackedQuantMatrix& w,
-             const float* bias, bool fuse_relu, float* out);
+/// `a` holds the activations row-major in the biased encoding, row i at
+/// a + i * qgemm_row_bytes(k), columns in `w`'s kernel column order.  On
+/// AVX-512 VNNI a register tile of up to 8 rows x 2-4 blocks of 16 output
+/// channels broadcasts one activation dword per row against the weight
+/// panel, and the epilogue runs 16 channels per vector; below VNNI a
+/// pmaddwd kernel runs one row at a time.  `out` is [m, w.rows()]; `bias`
+/// may be null.  Parallelized over row tiles x channel groups once the
+/// work is worth a fork; integer accumulation is exact, so results are
+/// bit-identical at any thread count and any ISA level.
+void qgemm(const std::uint8_t* a, std::size_t m, std::size_t k,
+           const QuantParams& a_params, const PackedQuantMatrix& w,
+           const float* bias, bool fuse_relu, float* out);
 
-/// Transposed int8 im2col: gathers conv patches from an int8 NCHW buffer
-/// into [in_c*k*k, n*out_h*out_w] (patch-position-major), the `qgemm_t`
-/// activation layout.  Every inner run over output columns is a contiguous
-/// memcpy/memset; at stride 1 with out == in ("same" padding) an image's
-/// patch row is the whole plane shifted, one memcpy plus edge fills.  Padding positions gather `pad_value` (the activation zero
-/// point — the exact int8 encoding of 0.0), so quantized convolution pads
-/// identically to the float path.
-void im2col_q8t(const std::int8_t* input, std::size_t n, std::size_t in_h,
-                std::size_t in_w, const Conv2dSpec& spec,
-                std::int8_t pad_value, std::int8_t* out);
+/// Channels-last int8 im2col, the twin of `im2col_nhwc_into`: gathers conv
+/// patches from biased NHWC bytes into qgemm rows, one per output pixel
+/// ([n*out_h*out_w, qgemm_row_bytes(k*k*in_c)]), patch order (kh, kw, c).
+/// Each (pixel, kh) pair is one contiguous run of up to k*in_c bytes.
+/// Padding positions gather `pad` (the biased activation zero point, the
+/// exact encoding of 0.0), so quantized convolution pads identically to the
+/// float path; each row's tail holds biased(0).
+void im2col_nhwc_q8(const std::uint8_t* input, std::size_t n, std::size_t in_h,
+                    std::size_t in_w, const Conv2dSpec& spec, std::uint8_t pad,
+                    std::uint8_t* out);
 
 /// Quantized matmul: accumulates in int32, returns dequantized float result.
 /// Inputs must be rank 2 with compatible inner dimensions.  (Legacy
 /// per-tensor kernel kept for the compression benches; the layer path uses
-/// qgemm_t on packed weights.)
+/// qgemm on packed weights.)
 Tensor quantized_matmul(const QuantizedTensor& a, const QuantizedTensor& b);
 
 /// Worst-case absolute reconstruction error for parameters `p` (half a step).

@@ -736,13 +736,17 @@ TEST_P(QuantProperty, QgemmWithinAnalyticBoundOfFloatGemm) {
   tensor::PackedQuantMatrix packed =
       tensor::PackedQuantMatrix::pack_rows(w, /*per_channel=*/true);
 
-  std::vector<std::int8_t> qat(m * k);  // the [k, m] layout qgemm_t takes
+  // The biased rows qgemm takes, row stride qgemm_row_bytes(k).
+  const std::size_t lda = tensor::qgemm_row_bytes(k);
+  std::vector<std::uint8_t> rows_q(m * lda, tensor::biased(0));
   for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t p = 0; p < k; ++p) qat[p * m + i] = qa[i * k + p];
+    for (std::size_t p = 0; p < k; ++p) {
+      rows_q[i * lda + p] = tensor::biased(qa[i * k + p]);
+    }
   }
   std::vector<float> out(m * rows);
-  tensor::qgemm_t(qat.data(), m, k, a_params, packed, nullptr,
-                  /*fuse_relu=*/false, out.data());
+  tensor::qgemm(rows_q.data(), m, k, a_params, packed, nullptr,
+                /*fuse_relu=*/false, out.data());
 
   float a_step = tensor::quantization_step_error(a_params);
   float a_max = std::max(std::abs(a.min()), std::abs(a.max()));

@@ -6,6 +6,7 @@
 // zero-allocation guarantee on steady-state InferenceSession calls.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -70,14 +71,18 @@ class ScopedIsaCap {
   int previous_;
 };
 
-/// The [k, m] layout qgemm_t takes, from row-major [m, k] activations.
-std::vector<std::int8_t> transposed(const std::vector<std::int8_t>& a,
-                                    std::size_t m, std::size_t k) {
-  std::vector<std::int8_t> at(m * k);
+/// The rows qgemm takes, from row-major [m, k] int8 activations: biased
+/// bytes, row stride qgemm_row_bytes(k), tails biased(0).
+std::vector<std::uint8_t> biased_rows(const std::vector<std::int8_t>& a,
+                                      std::size_t m, std::size_t k) {
+  const std::size_t lda = tensor::qgemm_row_bytes(k);
+  std::vector<std::uint8_t> rows(m * lda, tensor::biased(0));
   for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t p = 0; p < k; ++p) at[p * m + i] = a[i * k + p];
+    for (std::size_t p = 0; p < k; ++p) {
+      rows[i * lda + p] = tensor::biased(a[i * k + p]);
+    }
   }
-  return at;
+  return rows;
 }
 
 float dequant_one(std::int8_t q, const QuantParams& p) {
@@ -209,7 +214,7 @@ TEST(PackedQuantMatrixTest, StorageIsInt8PlusScales) {
 // ---------------------------------------------------------------------------
 
 /// Naive integer reference over row-major [m, k] activations applying the
-/// exact epilogue arithmetic; qgemm_t on the transposed copy must match it
+/// exact epilogue arithmetic; qgemm on the biased rows must match it
 /// bit-for-bit (same int math, same float expression order).
 std::vector<float> qgemm_reference(const std::vector<std::int8_t>& a,
                                    std::size_t m, std::size_t k,
@@ -258,7 +263,7 @@ TEST_P(QgemmTest, MatchesIntegerReferenceExactly) {
   tensor::quantize_to_int8(aw.data().data(), a.size(), a_params, a.data());
   PackedQuantMatrix packed = PackedQuantMatrix::pack_rows(w, per_channel);
 
-  std::vector<std::int8_t> at = transposed(a, m, k);
+  std::vector<std::uint8_t> qa = biased_rows(a, m, k);
   std::vector<float> ref = qgemm_reference(a, m, k, a_params, packed,
                                            bias.data().data(), false);
   // Every kernel this host reaches (scalar, AVX2, AVX-512 pmaddwd, VNNI)
@@ -266,8 +271,8 @@ TEST_P(QgemmTest, MatchesIntegerReferenceExactly) {
   for (int level = 0; level <= tensor::int8_isa_level(); ++level) {
     ScopedIsaCap cap(level);
     std::vector<float> out(m * rows);
-    tensor::qgemm_t(at.data(), m, k, a_params, packed, bias.data().data(),
-                    /*fuse_relu=*/false, out.data());
+    tensor::qgemm(qa.data(), m, k, a_params, packed, bias.data().data(),
+                  /*fuse_relu=*/false, out.data());
     for (std::size_t i = 0; i < out.size(); ++i) {
       EXPECT_EQ(std::bit_cast<std::uint32_t>(out[i]),
                 std::bit_cast<std::uint32_t>(ref[i]))
@@ -286,18 +291,18 @@ TEST_P(QgemmTest, BitIdenticalAcrossThreadCounts) {
   tensor::quantize_to_int8(aw.data().data(), a.size(), a_params, a.data());
   PackedQuantMatrix packed = PackedQuantMatrix::pack_rows(w, per_channel);
 
-  std::vector<std::int8_t> at = transposed(a, m, k);
+  std::vector<std::uint8_t> qa = biased_rows(a, m, k);
   std::vector<float> baseline(m * rows);
   {
     ScopedThreads threads(1);
-    tensor::qgemm_t(at.data(), m, k, a_params, packed, nullptr, false,
-                    baseline.data());
+    tensor::qgemm(qa.data(), m, k, a_params, packed, nullptr, false,
+                  baseline.data());
   }
   for (std::size_t n : {2U, 4U, 8U}) {
     ScopedThreads threads(n);
     std::vector<float> out(m * rows);
-    tensor::qgemm_t(at.data(), m, k, a_params, packed, nullptr, false,
-                    out.data());
+    tensor::qgemm(qa.data(), m, k, a_params, packed, nullptr, false,
+                  out.data());
     EXPECT_EQ(std::memcmp(out.data(), baseline.data(),
                           out.size() * sizeof(float)),
               0)
@@ -305,6 +310,9 @@ TEST_P(QgemmTest, BitIdenticalAcrossThreadCounts) {
   }
 }
 
+// Named for the transposed-activation GEMM it once checked; it now pins
+// the biased rows that quantize_biased writes, with bias and fused ReLU, to
+// the reference on the plain int8 values.
 TEST_P(QgemmTest, TransposedVariantBitIdentical) {
   auto [m, k, rows, per_channel] = GetParam();
   Rng rng(57 + m + rows);
@@ -314,18 +322,23 @@ TEST_P(QgemmTest, TransposedVariantBitIdentical) {
   QuantParams a_params = QuantParams::choose(aw.min(), aw.max());
   std::vector<std::int8_t> a(m * k);
   tensor::quantize_to_int8(aw.data().data(), a.size(), a_params, a.data());
-  std::vector<std::int8_t> at = transposed(a, m, k);
+  const std::size_t lda = tensor::qgemm_row_bytes(k);
+  std::vector<std::uint8_t> qa(m * lda, tensor::biased(0));
+  for (std::size_t i = 0; i < m; ++i) {
+    tensor::quantize_biased(aw.data().data() + i * k, k, a_params,
+                            qa.data() + i * lda);
+  }
+  EXPECT_EQ(qa, biased_rows(a, m, k));
   PackedQuantMatrix packed = PackedQuantMatrix::pack_rows(w, per_channel);
 
-  // The reference reads the untransposed copy.
   std::vector<float> ref = qgemm_reference(a, m, k, a_params, packed,
                                            bias.data().data(),
                                            /*fuse_relu=*/true);
   for (std::size_t n : {1U, 4U}) {
     ScopedThreads threads(n);
     std::vector<float> out(m * rows);
-    tensor::qgemm_t(at.data(), m, k, a_params, packed, bias.data().data(),
-                    /*fuse_relu=*/true, out.data());
+    tensor::qgemm(qa.data(), m, k, a_params, packed, bias.data().data(),
+                  /*fuse_relu=*/true, out.data());
     EXPECT_EQ(std::memcmp(out.data(), ref.data(), out.size() * sizeof(float)),
               0)
         << "threads=" << n;
@@ -340,94 +353,146 @@ INSTANTIATE_TEST_SUITE_P(
                       QgemmCase{64, 128, 96, false},
                       QgemmCase{7, 33, 5, true}));  // odd sizes
 
-TEST(Im2colQ8T, IsTransposeOfIm2colQ8) {
-  // Covers stride 1 + padding (the conv-layer case) and a strided,
-  // pad-free shape; both must agree elementwise with the float [m, patch]
-  // gather on the same values.
-  struct Case {
-    std::size_t n, in_c, in_hw, kernel, stride, padding;
-  };
-  for (const Case& c : {Case{2, 3, 8, 3, 1, 1}, Case{1, 2, 9, 3, 2, 0},
-                        Case{1, 1, 5, 5, 1, 2}}) {
-    tensor::Conv2dSpec spec;
-    spec.in_channels = c.in_c;
-    spec.out_channels = 1;
-    spec.kernel = c.kernel;
-    spec.stride = c.stride;
-    spec.padding = c.padding;
-    Rng rng(61 + c.in_hw + c.stride);
-    std::vector<std::int8_t> input(c.n * c.in_c * c.in_hw * c.in_hw);
-    for (auto& v : input) {
-      v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-    }
-    const std::size_t out_hw = spec.out_size(c.in_hw);
-    const std::size_t patch = c.in_c * c.kernel * c.kernel;
-    const std::size_t m = c.n * out_hw * out_hw;
-    const std::int8_t pad_value = -3;
-
-    // The float gather pads with 0.0, so shift the values by the pad value:
-    // every int8 v becomes the exact float v - pad_value, and padding maps
-    // back to pad_value.
-    std::vector<float> shifted(input.size());
-    for (std::size_t j = 0; j < input.size(); ++j) {
-      shifted[j] = static_cast<float>(input[j] - pad_value);
-    }
-    std::vector<float> rows(m * patch);
-    std::vector<std::int8_t> rows_t(m * patch);
-    tensor::im2col_into(shifted.data(), c.n, c.in_hw, c.in_hw, spec,
-                        rows.data());
-    tensor::im2col_q8t(input.data(), c.n, c.in_hw, c.in_hw, spec, pad_value,
-                       rows_t.data());
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t p = 0; p < patch; ++p) {
-        ASSERT_EQ(rows_t[p * m + i],
-                  static_cast<std::int8_t>(rows[i * patch + p] + pad_value))
-            << "i=" << i << " p=" << p << " stride=" << c.stride;
+// m across the 8-row register tile (1, 2, 7, 8, 9, 256), k across the
+// 4-byte dword tail (1, 3, 27, 144, 289), output channels across the
+// 16-channel blocks and 64-channel task groups (4, 10, 16, 17, 32, 96),
+// without and with bias + fused ReLU, at every ISA level the host reaches
+// and at 1 and 4 threads (the largest shapes fork).
+TEST(QgemmSweep, ExactAtEveryIsaLevelAndThreadCount) {
+  Rng rng(19);
+  for (std::size_t m : {1U, 2U, 7U, 8U, 9U, 256U}) {
+    for (std::size_t k : {1U, 3U, 27U, 144U, 289U}) {
+      for (std::size_t oc : {4U, 10U, 16U, 17U, 32U, 96U}) {
+        Tensor aw = Tensor::random_uniform(Shape{m, k}, rng, -2.0F, 3.0F);
+        Tensor w = Tensor::random_uniform(Shape{oc, k}, rng, -1.0F, 1.0F);
+        Tensor bias = Tensor::random_uniform(Shape{oc}, rng, -0.5F, 0.5F);
+        QuantParams a_params = QuantParams::choose(aw.min(), aw.max());
+        std::vector<std::int8_t> a(m * k);
+        tensor::quantize_to_int8(aw.data().data(), a.size(), a_params,
+                                 a.data());
+        std::vector<std::uint8_t> qa = biased_rows(a, m, k);
+        PackedQuantMatrix packed = PackedQuantMatrix::pack_rows(w, true);
+        for (bool epilogue : {false, true}) {
+          const float* b = epilogue ? bias.data().data() : nullptr;
+          std::vector<float> ref =
+              qgemm_reference(a, m, k, a_params, packed, b, epilogue);
+          for (int level = 0; level <= tensor::int8_isa_level(); ++level) {
+            ScopedIsaCap cap(level);
+            for (std::size_t threads : {1U, 4U}) {
+              ScopedThreads scope(threads);
+              std::vector<float> out(m * oc);
+              tensor::qgemm(qa.data(), m, k, a_params, packed, b, epilogue,
+                            out.data());
+              ASSERT_EQ(std::memcmp(out.data(), ref.data(),
+                                    out.size() * sizeof(float)),
+                        0)
+                  << "m=" << m << " k=" << k << " oc=" << oc
+                  << " epilogue=" << epilogue << " level=" << level
+                  << " threads=" << threads;
+            }
+          }
+        }
       }
     }
   }
 }
 
-// A stride-1 "same" conv (out == in) gathers each patch row as the shifted
-// input plane; a k = 3, pad = 0 conv takes the general per-row gather.  Both
-// must agree with the float gather on non-square images.
-TEST(Im2colQ8T, SameShiftGatherMatchesIm2colQ8) {
-  struct Case {
-    std::size_t n, in_c, h, w, kernel, padding;
-  };
-  for (const Case& c : {Case{2, 3, 6, 9, 1, 0}, Case{2, 3, 7, 5, 3, 1},
-                        Case{1, 2, 5, 8, 5, 2}, Case{1, 2, 3, 4, 5, 2},
-                        Case{2, 3, 7, 5, 3, 0}}) {
-    tensor::Conv2dSpec spec;
-    spec.in_channels = c.in_c;
-    spec.kernel = c.kernel;
-    spec.padding = c.padding;
-    Rng rng(67 + c.h * 10 + c.w + c.kernel);
-    std::vector<std::int8_t> input(c.n * c.in_c * c.h * c.w);
-    for (auto& v : input) {
-      v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+// Legacy per-tensor weights (nonzero weight zero point, full int8 range)
+// keep the scalar int64 correction at every level; it must be exact too.
+TEST(QgemmSweep, LegacyPerTensorWeightsExactAtEveryIsaLevel) {
+  Rng rng(21);
+  for (auto [m, k, oc] : {std::array<std::size_t, 3>{1, 27, 17},
+                          std::array<std::size_t, 3>{9, 144, 32},
+                          std::array<std::size_t, 3>{256, 289, 96}}) {
+    Tensor wt = Tensor::random_uniform(Shape{k, oc}, rng, 0.1F, 1.3F);
+    QuantizedTensor qw = QuantizedTensor::quantize(wt);
+    ASSERT_NE(qw.params().zero_point, 0);
+    PackedQuantMatrix packed = PackedQuantMatrix::from_per_tensor(qw);
+    Tensor aw = Tensor::random_uniform(Shape{m, k}, rng, -1.0F, 2.0F);
+    Tensor bias = Tensor::random_uniform(Shape{oc}, rng, -0.5F, 0.5F);
+    QuantParams a_params = QuantParams::choose(aw.min(), aw.max());
+    std::vector<std::int8_t> a(m * k);
+    tensor::quantize_to_int8(aw.data().data(), a.size(), a_params, a.data());
+    std::vector<std::uint8_t> qa = biased_rows(a, m, k);
+    std::vector<float> ref = qgemm_reference(a, m, k, a_params, packed,
+                                             bias.data().data(), true);
+    for (int level = 0; level <= tensor::int8_isa_level(); ++level) {
+      ScopedIsaCap cap(level);
+      for (std::size_t threads : {1U, 4U}) {
+        ScopedThreads scope(threads);
+        std::vector<float> out(m * oc);
+        tensor::qgemm(qa.data(), m, k, a_params, packed, bias.data().data(),
+                      true, out.data());
+        ASSERT_EQ(std::memcmp(out.data(), ref.data(),
+                              out.size() * sizeof(float)),
+                  0)
+            << "m=" << m << " level=" << level << " threads=" << threads;
+      }
     }
-    const std::size_t patch = c.in_c * c.kernel * c.kernel;
-    const std::size_t m = c.n * spec.out_size(c.h) * spec.out_size(c.w);
-    const std::int8_t pad_value = 5;
-    std::vector<float> shifted(input.size());
-    for (std::size_t j = 0; j < input.size(); ++j) {
-      shifted[j] = static_cast<float>(input[j] - pad_value);
-    }
-    std::vector<float> rows(m * patch);
-    std::vector<std::int8_t> rows_t(m * patch);
-    tensor::im2col_into(shifted.data(), c.n, c.h, c.w, spec, rows.data());
-    tensor::im2col_q8t(input.data(), c.n, c.h, c.w, spec, pad_value,
-                       rows_t.data());
+  }
+}
+
+/// Checks im2col_nhwc_q8 against the float channels-last gather on the same
+/// values shifted by the pad byte: every byte v becomes the exact float
+/// v - pad, so the float gather's 0.0 padding maps back to `pad`.
+void expect_gather_matches_float(std::size_t n, std::size_t c, std::size_t h,
+                                 std::size_t w, std::size_t kernel,
+                                 std::size_t stride, std::size_t padding) {
+  tensor::Conv2dSpec spec;
+  spec.in_channels = c;
+  spec.kernel = kernel;
+  spec.stride = stride;
+  spec.padding = padding;
+  Rng rng(61 + h * 10 + w + kernel + stride);
+  std::vector<std::uint8_t> input(n * h * w * c);
+  for (auto& v : input) v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  const std::uint8_t pad = 131;
+  std::vector<float> shifted(input.size());
+  for (std::size_t j = 0; j < input.size(); ++j) {
+    shifted[j] = static_cast<float>(input[j]) - static_cast<float>(pad);
+  }
+  const std::size_t patch = c * kernel * kernel;
+  const std::size_t lda = tensor::qgemm_row_bytes(patch);
+  const std::size_t m = n * spec.out_size(h) * spec.out_size(w);
+  std::vector<float> rows(m * patch);
+  tensor::im2col_nhwc_into(shifted.data(), n, h, w, spec, rows.data());
+  // Levels below AVX-512 take the memcpy gather, the rest the masked one.
+  for (int level : {0, tensor::int8_isa_level()}) {
+    ScopedIsaCap cap(level);
+    std::vector<std::uint8_t> q(m * lda, 7);
+    tensor::im2col_nhwc_q8(input.data(), n, h, w, spec, pad, q.data());
     for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t p = 0; p < patch; ++p) {
-        ASSERT_EQ(rows_t[p * m + i],
-                  static_cast<std::int8_t>(rows[i * patch + p] + pad_value))
-            << c.h << "x" << c.w << " k" << c.kernel << " pad " << c.padding
+      for (std::size_t p = 0; p < lda; ++p) {
+        const std::uint8_t want =
+            p < patch ? static_cast<std::uint8_t>(rows[i * patch + p] + pad)
+                      : tensor::biased(0);
+        ASSERT_EQ(q[i * lda + p], want)
+            << "c" << c << " " << h << "x" << w << " k" << kernel << " s"
+            << stride << " pad " << padding << " level " << level
             << " i=" << i << " p=" << p;
       }
     }
   }
+}
+
+TEST(Im2colNhwcQ8, MatchesFloatGatherOnNonSquareInputs) {
+  for (std::size_t c : {3U, 16U}) {
+    for (std::size_t kernel : {1U, 3U, 5U}) {
+      for (std::size_t stride : {1U, 2U}) {
+        for (std::size_t padding : {0U, 1U, 2U}) {
+          expect_gather_matches_float(2, c, 7, 9, kernel, stride, padding);
+        }
+      }
+    }
+  }
+}
+
+// Runs longer than one 64-byte vector (k * C = 5 * 32 bytes per kernel row)
+// and a 5x5 kernel on a 3x4 image, where every patch is mostly padding.
+TEST(Im2colNhwcQ8, LongRunsAndPaddingDominatedPatches) {
+  expect_gather_matches_float(1, 32, 6, 5, 5, 1, 2);
+  expect_gather_matches_float(2, 3, 3, 4, 5, 1, 2);
+  expect_gather_matches_float(1, 5, 4, 4, 3, 2, 1);
 }
 
 TEST(QgemmEpilogue, FusedReluMatchesSeparateRelu) {
@@ -440,13 +505,13 @@ TEST(QgemmEpilogue, FusedReluMatchesSeparateRelu) {
   tensor::quantize_to_int8(aw.data().data(), a.size(), p, a.data());
   PackedQuantMatrix packed = PackedQuantMatrix::pack_rows(w, true);
 
-  std::vector<std::int8_t> at = transposed(a, 6, 24);
+  std::vector<std::uint8_t> qa = biased_rows(a, 6, 24);
   std::vector<float> plain(6 * 10);
   std::vector<float> fused(6 * 10);
-  tensor::qgemm_t(at.data(), 6, 24, p, packed, bias.data().data(), false,
-                  plain.data());
-  tensor::qgemm_t(at.data(), 6, 24, p, packed, bias.data().data(), true,
-                  fused.data());
+  tensor::qgemm(qa.data(), 6, 24, p, packed, bias.data().data(), false,
+                plain.data());
+  tensor::qgemm(qa.data(), 6, 24, p, packed, bias.data().data(), true,
+                fused.data());
   bool saw_negative = false;
   for (std::size_t i = 0; i < plain.size(); ++i) {
     saw_negative = saw_negative || plain[i] < 0.0F;
@@ -469,9 +534,9 @@ TEST(QgemmEpilogue, LegacyWeightZeroPointIsCorrected) {
   std::vector<std::int8_t> a(3 * 20);
   tensor::quantize_to_int8(aw.data().data(), a.size(), p, a.data());
 
-  std::vector<std::int8_t> at = transposed(a, 3, 20);
+  std::vector<std::uint8_t> qa = biased_rows(a, 3, 20);
   std::vector<float> out(3 * 15);
-  tensor::qgemm_t(at.data(), 3, 20, p, packed, nullptr, false, out.data());
+  tensor::qgemm(qa.data(), 3, 20, p, packed, nullptr, false, out.data());
 
   // Reference: dequantize both operands and multiply in float.  The integer
   // path differs only by quantization error, not by any zero-point bias.
@@ -497,11 +562,12 @@ TEST(QgemmEpilogue, RejectsKBeyondInt32ExactBound) {
   // k mismatch with w.cols() trips the dimension check; the k-bound check
   // needs a matching oversized matrix.
   std::size_t big = (1ULL << 16) + 1;
-  std::vector<std::int8_t> big_a(big, 0);
+  std::vector<std::uint8_t> big_a(tensor::qgemm_row_bytes(big),
+                                  tensor::biased(0));
   PackedQuantMatrix big_w(1, big, std::vector<std::int8_t>(big, 0), {1.0F}, 0,
                           true);
-  EXPECT_THROW(tensor::qgemm_t(big_a.data(), 1, big, QuantParams{}, big_w,
-                               nullptr, false, out.data()),
+  EXPECT_THROW(tensor::qgemm(big_a.data(), 1, big, QuantParams{}, big_w,
+                             nullptr, false, out.data()),
                InvalidArgument);
 }
 
@@ -570,6 +636,40 @@ TEST(QuantizedConv2dTest, PaddingGathersTheExactZeroEncoding) {
   ASSERT_EQ(via_padding.elements(), via_border.elements());
   for (std::size_t i = 0; i < via_padding.elements(); ++i) {
     EXPECT_EQ(via_padding.data()[i], via_border.data()[i]) << i;
+  }
+}
+
+// A 1x1, stride-1, unpadded conv over C % 4 == 0 channels feeds its
+// quantized input straight to the GEMM; over C = 3 it gathers rows padded
+// to 4 bytes.  Both must equal the integer reference on the quantized
+// pixels (a 1x1 patch's channel order is the stored weight order).
+TEST(QuantizedConv2dTest, PointwiseConvSkipsTheGatherOnAlignedChannels) {
+  for (std::size_t c : {3U, 16U}) {
+    Rng rng(47 + c);
+    tensor::Conv2dSpec spec;
+    spec.in_channels = c;
+    spec.out_channels = 10;
+    spec.kernel = 1;
+    auto qconv = nn::QuantizedConv2d::from_conv(nn::Conv2d(spec, rng));
+    EXPECT_EQ(qconv->patch_row_bytes(),
+              c % 4 == 0 ? 0U : tensor::qgemm_row_bytes(c));
+    const std::size_t n = 2, h = 5, w = 3, pixels = n * h * w;
+    Tensor nhwc = Tensor::random_uniform(Shape{pixels, c}, rng, -1.0F, 1.0F);
+    QuantParams p = QuantParams::choose(nhwc.min(), nhwc.max());
+    qconv->set_input_params(p);
+    std::vector<std::int8_t> a(pixels * c);
+    tensor::quantize_to_int8(nhwc.data().data(), a.size(), p, a.data());
+    std::vector<float> ref =
+        qgemm_reference(a, pixels, c, p, qconv->packed_weights(),
+                        qconv->bias().data().data(), /*fuse_relu=*/true);
+    std::vector<std::uint8_t> staging(pixels * c);
+    std::vector<std::uint8_t> patches(pixels * qconv->patch_row_bytes());
+    std::vector<float> out(pixels * 10);
+    qconv->forward_into(nhwc.data().data(), n, h, w, staging.data(),
+                        patches.data(), /*fuse_relu=*/true, out.data());
+    EXPECT_EQ(std::memcmp(out.data(), ref.data(), out.size() * sizeof(float)),
+              0)
+        << "C=" << c;
   }
 }
 
@@ -1011,6 +1111,43 @@ TEST(ArenaTest, ChannelsLastChainBitwiseEqualAcrossRowsAndThreads) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " rows=" + std::to_string(rows));
       expect_arena_matches_model(model, batch);
+    }
+  }
+}
+
+// The calibrated int8 twins of mini-VGG, mini-ResNet and mini-MobileNet:
+// the arena equals Model::forward bitwise at rows 1/3/7, at 1 and 4 threads
+// and at every ISA level the host reaches.
+TEST(ArenaTest, Int8TwinsBitwiseEqualAcrossRowsThreadsAndIsaLevels) {
+  const nn::zoo::ImageSpec spec{3, 16, 4};
+  Rng rng(137);
+  Tensor calibration =
+      Tensor::random_uniform(Shape{8, 3, 16, 16}, rng, -1.0F, 1.0F);
+  Rng model_rng(139);
+  std::vector<nn::Model> floats;
+  floats.push_back(nn::zoo::make_mini_vgg(spec, model_rng));
+  floats.push_back(nn::zoo::make_mini_resnet(spec, model_rng));
+  floats.push_back(nn::zoo::make_mini_mobilenet(spec, model_rng));
+  std::vector<nn::Model> twins;
+  for (const nn::Model& model : floats) {
+    twins.push_back(
+        std::move(compress::quantize_int8(model, calibration).model));
+  }
+  for (nn::Model& twin : twins) {
+    for (int level = 0; level <= tensor::int8_isa_level(); ++level) {
+      ScopedIsaCap cap(level);
+      for (std::size_t threads : {1U, 4U}) {
+        ScopedThreads scope(threads);
+        for (std::size_t rows : {1U, 3U, 7U}) {
+          Rng batch_rng(149 + rows);
+          Tensor batch = Tensor::random_uniform(Shape{rows, 3, 16, 16},
+                                                batch_rng, -1.0F, 1.0F);
+          SCOPED_TRACE(twin.name() + " level=" + std::to_string(level) +
+                       " threads=" + std::to_string(threads) +
+                       " rows=" + std::to_string(rows));
+          expect_arena_matches_model(twin, batch);
+        }
+      }
     }
   }
 }
