@@ -2,8 +2,8 @@
 // mini-VGG CNN.  For each workload it trains a float model briefly, runs
 // post-training calibrated int8 quantization, then reports single-sample
 // p50/p95 latency (served through InferenceSession, i.e. the zero-alloc
-// forward arena), ops/sec, weight storage bytes, and float-vs-int8 top-1
-// agreement.  For mini-VGG it also prints the arena's per-step median table
+// forward plan), ops/sec, weight storage bytes, and float-vs-int8 top-1
+// agreement.  For mini-VGG it also prints the plan's per-step median table
 // (float and int8, one row) and `gemm_share`: gemm_packed alone at each
 // fp32 layer's GEMM shape, summed, over the fp32 forward p50.  A 512 -> 96
 // dense layer is timed float vs int8 at rows 1/2/4/8.  Writes
@@ -93,7 +93,7 @@ LatencyStats measure_single_sample(runtime::InferenceSession& session,
                                    const std::vector<Tensor>& singles,
                                    std::size_t reps) {
   std::size_t index = 0;
-  // Warm-up: page in weights, let the arena reach steady state.
+  // Warm-up: page in weights, let the scratch reach steady state.
   for (std::size_t i = 0; i < std::min<std::size_t>(singles.size(), 8); ++i) {
     session.run(singles[i]);
   }
@@ -143,12 +143,13 @@ double median(std::vector<double> values) {
   return values[values.size() / 2];
 }
 
-/// Per-step medians of one single-row arena forward, printed and returned
+/// Per-step medians of one single-row planned forward, printed and returned
 /// as [{label, median_us}].
-Json step_table(const char* engine, nn::Model& model, const Tensor& single,
-                std::size_t reps) {
-  auto arena = runtime::ForwardArena::plan(model);
-  auto steps = arena->profile(single.data().data(), 1, reps);
+Json step_table(const char* engine, const nn::Model& model,
+                const Tensor& single, std::size_t reps) {
+  auto plan = runtime::ForwardPlan::plan(model);
+  runtime::ForwardPlan::Scratch scratch(*plan);
+  auto steps = plan->profile(single.data().data(), 1, reps, scratch);
   std::printf("\n%s forward, per step (1 row, median of %zu):\n", engine, reps);
   JsonArray rows;
   double total = 0.0;
@@ -201,7 +202,7 @@ double gemm_alone_us(const nn::Model& model, std::size_t reps) {
 }
 
 /// Single-layer 512 -> 96 dense, float and calibrated int8, through the
-/// forward arena at rows 1/2/4/8 (the micro-batcher's fused batches): the
+/// forward plan at rows 1/2/4/8 (the micro-batcher's fused batches): the
 /// batched int8 dense case.  Prints and returns [{rows, float/int8 p50}].
 Json dense_rows_table(std::size_t reps) {
   common::Rng rng(53);
@@ -210,21 +211,23 @@ Json dense_rows_table(std::size_t reps) {
   Tensor calibration = Tensor::random_uniform(Shape{64, 512}, rng, -1.0F, 1.0F);
   nn::Model quantized =
       std::move(compress::quantize_int8(model, calibration).model);
-  auto float_arena = runtime::ForwardArena::plan(model);
-  auto int8_arena = runtime::ForwardArena::plan(quantized);
   Tensor input = Tensor::random_uniform(Shape{8, 512}, rng, -1.0F, 1.0F);
-  auto p50_us = [&](runtime::ForwardArena& arena, std::size_t rows) {
-    for (int i = 0; i < 20; ++i) arena.run(input.data().data(), rows);
+  auto p50_us = [&](const nn::Model& served, std::size_t rows) {
+    auto plan = runtime::ForwardPlan::plan(served);
+    runtime::ForwardPlan::Scratch scratch(*plan);
+    const float* in = input.data().data();
+    for (int i = 0; i < 20; ++i) plan->run(in, rows, scratch);
     return measure(reps, [&] {
-             benchmark::DoNotOptimize(arena.run(input.data().data(), rows));
+             benchmark::DoNotOptimize(plan->run(in, rows, scratch));
            }).p50_ms * 1e3;
   };
-  std::printf("\ndense 512->96 through the arena (p50 of %zu):\n", reps);
+  std::printf("\ndense 512->96 through the forward plan (p50 of %zu):\n",
+              reps);
   std::printf("  %4s %10s %10s\n", "rows", "float", "int8");
   JsonArray rows_json;
   for (std::size_t rows : {1, 2, 4, 8}) {
-    double float_us = p50_us(*float_arena, rows);
-    double int8_us = p50_us(*int8_arena, rows);
+    double float_us = p50_us(model, rows);
+    double int8_us = p50_us(quantized, rows);
     std::printf("  %4zu %7.2f us %7.2f us\n", rows, float_us, int8_us);
     rows_json.push_back(Json(JsonObject{{"rows", Json(rows)},
                                         {"float_p50_us", Json(float_us)},

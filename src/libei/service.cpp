@@ -337,8 +337,7 @@ HttpResponse EiService::handle_status() {
   tracing.set("ring_capacity", tracer_.options().ring_capacity);
   out.set("tracing", std::move(tracing));
   // Memory-governed lifecycle: budget, residency (coldest first — the
-  // eviction order), and cache counters.  `arena` marks sessions running on
-  // the zero-alloc forward arena.
+  // eviction order), and cache counters.
   runtime::SessionCache::Stats cache = lifecycle_.stats();
   Json lifecycle{JsonObject{}};
   lifecycle.set("budget_bytes", cache.budget_bytes);

@@ -29,6 +29,8 @@ class BatchNorm : public Layer {
   float epsilon() const { return epsilon_; }
   Tensor& running_mean() { return running_mean_; }
   Tensor& running_var() { return running_var_; }
+  const Tensor& running_mean() const { return running_mean_; }
+  const Tensor& running_var() const { return running_var_; }
   const Tensor& gamma() const { return gamma_; }
   const Tensor& beta() const { return beta_; }
 

@@ -161,7 +161,8 @@ QuantizedConv2d::QuantizedConv2d(Conv2dSpec spec,
                "quantized conv packed weight shape mismatch");
   OPENEI_CHECK(bias_.elements() == spec_.out_channels,
                "quantized conv bias size mismatch");
-  packed_.use_channels_last_patches(spec_.in_channels, spec_.kernel);
+  OPENEI_CHECK(packed_.patch_kernel() == spec_.kernel,
+               "quantized conv weights must be packed in patch order");
 }
 
 std::unique_ptr<QuantizedConv2d> QuantizedConv2d::from_conv(const Conv2d& conv) {
@@ -171,7 +172,7 @@ std::unique_ptr<QuantizedConv2d> QuantizedConv2d::from_conv(const Conv2d& conv) 
       spec,
       tensor::PackedQuantMatrix::pack_rows(
           conv.weights().reshaped(Shape{spec.out_channels, patch}),
-          /*per_channel=*/true),
+          /*per_channel=*/true, spec.kernel),
       conv.bias());
 }
 

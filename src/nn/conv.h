@@ -47,10 +47,12 @@ class Conv2d : public Layer {
 /// round-trip): the channels-last input is quantized once, (kh, kw, c)
 /// patches are gathered in int8 (padding gathers the activation zero point
 /// — the exact encoding of 0.0), and the packed weights, whose kernel views
-/// are permuted to that patch order at construction, run through the int8
-/// GEMM with a fused requantize(+bias)(+ReLU) epilogue.
+/// follow that patch order, run through the int8 GEMM with a fused
+/// requantize(+bias)(+ReLU) epilogue.
 class QuantizedConv2d : public Layer {
  public:
+  /// `packed` must be built with `spec.kernel` as its patch kernel, so its
+  /// views are made once, in patch order (PackedQuantMatrix::patch_kernel).
   QuantizedConv2d(tensor::Conv2dSpec spec, tensor::PackedQuantMatrix packed,
                   Tensor bias);
   /// Quantizes an existing Conv2d's weights per-output-channel.
@@ -85,7 +87,7 @@ class QuantizedConv2d : public Layer {
   /// is.
   std::size_t patch_row_bytes() const;
 
-  /// Raw-buffer forward shared by forward() and the zero-alloc arena, over
+  /// Raw-buffer forward shared by forward() and the forward plan, over
   /// channels-last activations: `input` is NHWC and `out` receives NHWC
   /// ([n*out_h*out_w, out_c], the GEMM's own output).  Caller provides byte
   /// staging for the quantized input (n*in_h*in_w*in_c) and for the

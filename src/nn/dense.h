@@ -88,7 +88,7 @@ class QuantizedDense : public Layer {
   tensor::QuantParams effective_input_params(const float* input,
                                              std::size_t n) const;
 
-  /// Raw-buffer forward shared by forward() and the zero-alloc arena:
+  /// Raw-buffer forward shared by forward() and the forward plan:
   /// quantizes `rows * in_features()` floats into `staging` (caller-provided,
   /// rows * qgemm_row_bytes(in_features()) bytes) as the GEMM's biased
   /// row-major activations, and runs the int8 GEMM (+bias, optional fused

@@ -37,6 +37,7 @@ class Model {
   std::size_t layer_count() const { return layers_.size(); }
   Layer& layer(std::size_t index);
   const Layer& layer(std::size_t index) const;
+  const std::vector<LayerPtr>& layers() const { return layers_; }
 
   /// Full forward pass over a batch ([N, ...input_shape]).
   Tensor forward(const Tensor& batch, bool training = false);

@@ -59,7 +59,9 @@ Json packed_to_json(const tensor::PackedQuantMatrix& packed) {
   return out;
 }
 
-tensor::PackedQuantMatrix packed_from_json(const Json& weights, const Json& cfg) {
+/// `patch_kernel` as in PackedQuantMatrix::pack_rows (0 for a dense layer).
+tensor::PackedQuantMatrix packed_from_json(const Json& weights, const Json& cfg,
+                                           std::size_t patch_kernel = 0) {
   const JsonArray& shape = weights.at("shape").as_array();
   OPENEI_CHECK(shape.size() == 2, "packed weights must be rank 2");
   auto rows = static_cast<std::size_t>(shape[0].as_int());
@@ -80,7 +82,7 @@ tensor::PackedQuantMatrix packed_from_json(const Json& weights, const Json& cfg)
   bool per_channel =
       cfg.contains("per_channel") ? cfg.at("per_channel").as_bool() : true;
   return {rows, cols, std::move(values), std::move(scales), weight_zero_point,
-          per_channel};
+          per_channel, patch_kernel};
 }
 
 std::optional<tensor::QuantParams> input_params_from_config(const Json& cfg) {
@@ -214,8 +216,9 @@ LayerPtr layer_from_json(const Json& doc) {
         tensor_from_json(doc.at("bias")));
   }
   if (type == "quantized_conv2d") {
+    tensor::Conv2dSpec spec = spec_from_config(cfg, false);
     auto layer = std::make_unique<QuantizedConv2d>(
-        spec_from_config(cfg, false), packed_from_json(doc.at("weights"), cfg),
+        spec, packed_from_json(doc.at("weights"), cfg, spec.kernel),
         tensor_from_json(doc.at("bias")));
     if (auto params = input_params_from_config(cfg)) {
       layer->set_input_params(*params);

@@ -19,42 +19,37 @@
 
 namespace openei::runtime {
 
-std::size_t ForwardArena::new_fbuf(std::size_t per_row) {
-  fbufs_.push_back(FloatBuf{per_row, {}});
-  return fbufs_.size() - 1;
+std::size_t ForwardPlan::new_fbuf(std::size_t per_row) {
+  float_per_row_.push_back(per_row);
+  return float_per_row_.size() - 1;
 }
 
-std::size_t ForwardArena::new_qbuf(std::size_t per_row) {
-  qbufs_.push_back(QuantBuf{per_row, {}});
-  return qbufs_.size() - 1;
+std::size_t ForwardPlan::new_qbuf(std::size_t per_row) {
+  quant_per_row_.push_back(per_row);
+  return quant_per_row_.size() - 1;
 }
 
-std::unique_ptr<ForwardArena> ForwardArena::plan(nn::Model& model) {
-  std::unique_ptr<ForwardArena> arena(new ForwardArena());
-  const tensor::Shape& input = model.input_shape();
-  arena->input_elems_ = input.elements();
-  if (input.rank() == 3) arena->input_pixels_ = input.dim(1) * input.dim(2);
-  arena->in_buf_ = arena->new_fbuf(arena->input_elems_);
-
+std::unique_ptr<const ForwardPlan> ForwardPlan::plan(const nn::Model& model) {
+  std::unique_ptr<ForwardPlan> plan(new ForwardPlan());
   tensor::Shape sample = model.input_shape();
-  std::size_t cur = arena->in_buf_;
-  std::vector<nn::Layer*> layers;
-  layers.reserve(model.layer_count());
-  for (std::size_t i = 0; i < model.layer_count(); ++i) {
-    layers.push_back(&model.layer(i));
-  }
-  if (!arena->plan_chain(layers, sample, cur)) return nullptr;
+  plan->input_elems_ = sample.elements();
+  if (sample.rank() == 3) plan->input_pixels_ = sample.dim(1) * sample.dim(2);
+  plan->in_buf_ = plan->new_fbuf(plan->input_elems_);
+
+  std::size_t cur = plan->in_buf_;
+  if (!plan->plan_chain(model.layers(), sample, cur)) return nullptr;
   // predict needs [N, classes] logits — reject models with structured output.
   if (sample.rank() != 1) return nullptr;
-  arena->out_buf_ = cur;
-  arena->output_per_row_ = sample.elements();
-  return arena;
+  plan->out_buf_ = cur;
+  plan->output_per_row_ = sample.elements();
+  return plan;
 }
 
-bool ForwardArena::plan_chain(const std::vector<nn::Layer*>& layers,
-                              tensor::Shape& sample, std::size_t& cur) {
+bool ForwardPlan::plan_chain(const std::vector<nn::LayerPtr>& layers,
+                             tensor::Shape& sample, std::size_t& cur) {
   for (std::size_t i = 0; i < layers.size(); ++i) {
-    nn::Layer* next = i + 1 < layers.size() ? layers[i + 1] : nullptr;
+    const nn::Layer* next =
+        i + 1 < layers.size() ? layers[i + 1].get() : nullptr;
     bool fused_next = false;
     auto out = plan_layer(*layers[i], sample, cur, next, &fused_next);
     if (!out) return false;
@@ -64,9 +59,9 @@ bool ForwardArena::plan_chain(const std::vector<nn::Layer*>& layers,
   return true;
 }
 
-std::size_t ForwardArena::plan_conv(const nn::Conv2d& conv,
-                                    const tensor::Shape& in_sample,
-                                    std::size_t in_buf, bool fuse_relu) {
+std::size_t ForwardPlan::plan_conv(const nn::Conv2d& conv,
+                                   const tensor::Shape& in_sample,
+                                   std::size_t in_buf, bool fuse_relu) {
   const tensor::Conv2dSpec spec = conv.spec();
   std::size_t in_h = in_sample.dim(1);
   std::size_t in_w = in_sample.dim(2);
@@ -78,26 +73,25 @@ std::size_t ForwardArena::plan_conv(const nn::Conv2d& conv,
   std::size_t out_buf = new_fbuf(pixels * spec.out_channels);
 
   // The GEMM writes [rows*pixels, oc]: already the NHWC output.
-  const nn::Conv2d* cp = &conv;
-  steps_.push_back([cp, spec, in_buf, patch_buf, out_buf, in_h, in_w, pixels,
-                    direct, fuse_relu,
+  steps_.push_back([cp = &conv, spec, in_buf, patch_buf, out_buf, in_h, in_w,
+                    pixels, direct, fuse_relu,
                     wp = tensor::pack_conv_weights(conv.weights())](
-                       ForwardArena& a, std::size_t rows) {
-    float* patches = a.fptr(patch_buf);
+                       Scratch& s, std::size_t rows) {
+    float* patches = s.f(patch_buf);
     if (!direct) {
-      tensor::im2col_nhwc_into(a.fptr(in_buf), rows, in_h, in_w, spec, patches);
+      tensor::im2col_nhwc_into(s.f(in_buf), rows, in_h, in_w, spec, patches);
     }
     tensor::gemm_packed(patches, rows * pixels, wp, cp->bias().data().data(),
-                        fuse_relu, /*accumulate=*/false, a.fptr(out_buf));
+                        fuse_relu, /*accumulate=*/false, s.f(out_buf));
   });
   return out_buf;
 }
 
-std::optional<std::size_t> ForwardArena::plan_layer(nn::Layer& layer,
-                                                    tensor::Shape& sample,
-                                                    std::size_t in_buf,
-                                                    nn::Layer* next,
-                                                    bool* fused_next) {
+std::optional<std::size_t> ForwardPlan::plan_layer(const nn::Layer& layer,
+                                                   tensor::Shape& sample,
+                                                   std::size_t in_buf,
+                                                   const nn::Layer* next,
+                                                   bool* fused_next) {
   tensor::Shape out_shape = layer.output_shape(sample);  // validates
   auto out = plan_steps(layer, sample, out_shape, in_buf, next, fused_next);
   if (!out) return out;
@@ -114,69 +108,63 @@ std::optional<std::size_t> ForwardArena::plan_layer(nn::Layer& layer,
   return out;
 }
 
-std::optional<std::size_t> ForwardArena::plan_steps(
-    nn::Layer& layer, const tensor::Shape& sample,
-    const tensor::Shape& out_shape, std::size_t in_buf, nn::Layer* next,
+std::optional<std::size_t> ForwardPlan::plan_steps(
+    const nn::Layer& layer, const tensor::Shape& sample,
+    const tensor::Shape& out_shape, std::size_t in_buf, const nn::Layer* next,
     bool* fused_next) {
   // A ReLU right after a GEMM-backed layer folds into its epilogue; such a
   // layer sets *fused_next so the caller skips the ReLU.
-  const bool fuse = next != nullptr && dynamic_cast<nn::Relu*>(next) != nullptr;
+  const bool fuse =
+      next != nullptr && dynamic_cast<const nn::Relu*>(next) != nullptr;
   // --- dense family ------------------------------------------------------
-  if (auto* d = dynamic_cast<nn::Dense*>(&layer)) {
-    std::size_t out_f = d->out_features();
-    std::size_t out_buf = new_fbuf(out_f);
+  if (auto* d = dynamic_cast<const nn::Dense*>(&layer)) {
+    std::size_t out_buf = new_fbuf(d->out_features());
     *fused_next = fuse;
     // Prepack [in, out] weights once at plan time; the step runs the
     // dispatched microkernels with bias (and a following ReLU) fused into
     // the epilogue.
-    tensor::PackedMatrix wp = tensor::PackedMatrix::pack(d->weights());
-    const nn::Dense* p = d;
-    steps_.push_back([p, in_buf, out_buf, fuse, wp = std::move(wp)](
-                         ForwardArena& a, std::size_t rows) {
-      tensor::gemm_packed(a.fptr(in_buf), rows, wp, p->bias().data().data(),
-                          fuse, /*accumulate=*/false, a.fptr(out_buf));
+    steps_.push_back([d, in_buf, out_buf, fuse,
+                      wp = tensor::PackedMatrix::pack(d->weights())](
+                         Scratch& s, std::size_t rows) {
+      tensor::gemm_packed(s.f(in_buf), rows, wp, d->bias().data().data(),
+                          fuse, /*accumulate=*/false, s.f(out_buf));
     });
     return out_buf;
   }
 
-  if (auto* qd = dynamic_cast<nn::QuantizedDense*>(&layer)) {
+  if (auto* qd = dynamic_cast<const nn::QuantizedDense*>(&layer)) {
     std::size_t staging = new_qbuf(tensor::qgemm_row_bytes(qd->in_features()));
     std::size_t out_buf = new_fbuf(qd->out_features());
     *fused_next = fuse;
     dynamic_ranges_ |= !qd->input_params().has_value();
-    const nn::QuantizedDense* p = qd;
-    steps_.push_back([p, in_buf, staging, out_buf, fuse](ForwardArena& a,
-                                                         std::size_t rows) {
-      p->forward_into(a.fptr(in_buf), rows, a.qptr(staging), fuse,
-                      a.fptr(out_buf));
+    steps_.push_back([qd, in_buf, staging, out_buf, fuse](Scratch& s,
+                                                          std::size_t rows) {
+      qd->forward_into(s.f(in_buf), rows, s.q(staging), fuse, s.f(out_buf));
     });
     return out_buf;
   }
 
-  if (auto* fd = dynamic_cast<nn::FactoredDense*>(&layer)) {
-    std::size_t r = fd->rank();
-    std::size_t out_f = fd->v().shape().dim(1);
-    std::size_t mid_buf = new_fbuf(r);
-    std::size_t out_buf = new_fbuf(out_f);
+  if (auto* fd = dynamic_cast<const nn::FactoredDense*>(&layer)) {
+    std::size_t mid_buf = new_fbuf(fd->rank());
+    std::size_t out_buf = new_fbuf(fd->v().shape().dim(1));
     *fused_next = fuse;
     // Both low-rank factors prepacked at plan time; bias/ReLU fuse into the
     // second GEMM's epilogue.
-    tensor::PackedMatrix up = tensor::PackedMatrix::pack(fd->u());
-    tensor::PackedMatrix vp = tensor::PackedMatrix::pack(fd->v());
-    const nn::FactoredDense* p = fd;
-    steps_.push_back([p, in_buf, mid_buf, out_buf, fuse, up = std::move(up),
-                      vp = std::move(vp)](ForwardArena& a, std::size_t rows) {
-      float* mid = a.fptr(mid_buf);
-      tensor::gemm_packed(a.fptr(in_buf), rows, up, nullptr,
+    steps_.push_back([fd, in_buf, mid_buf, out_buf, fuse,
+                      up = tensor::PackedMatrix::pack(fd->u()),
+                      vp = tensor::PackedMatrix::pack(fd->v())](
+                         Scratch& s, std::size_t rows) {
+      float* mid = s.f(mid_buf);
+      tensor::gemm_packed(s.f(in_buf), rows, up, nullptr,
                           /*fuse_relu=*/false, /*accumulate=*/false, mid);
-      tensor::gemm_packed(mid, rows, vp, p->bias().data().data(), fuse,
-                          /*accumulate=*/false, a.fptr(out_buf));
+      tensor::gemm_packed(mid, rows, vp, fd->bias().data().data(), fuse,
+                          /*accumulate=*/false, s.f(out_buf));
     });
     return out_buf;
   }
 
   // --- convolution family -------------------------------------------------
-  if (auto* qc = dynamic_cast<nn::QuantizedConv2d*>(&layer)) {
+  if (auto* qc = dynamic_cast<const nn::QuantizedConv2d*>(&layer)) {
     std::size_t in_h = sample.dim(1);
     std::size_t in_w = sample.dim(2);
     std::size_t pixels = out_shape.dim(1) * out_shape.dim(2);
@@ -185,47 +173,43 @@ std::optional<std::size_t> ForwardArena::plan_steps(
     std::size_t out_buf = new_fbuf(out_shape.elements());
     *fused_next = fuse;
     dynamic_ranges_ |= !qc->input_params().has_value();
-    const nn::QuantizedConv2d* p = qc;
-    steps_.push_back([p, in_buf, q_in, q_patch, out_buf, in_h, in_w, fuse](
-                         ForwardArena& a, std::size_t rows) {
-      p->forward_into(a.fptr(in_buf), rows, in_h, in_w, a.qptr(q_in),
-                      a.qptr(q_patch), fuse, a.fptr(out_buf));
+    steps_.push_back([qc, in_buf, q_in, q_patch, out_buf, in_h, in_w, fuse](
+                         Scratch& s, std::size_t rows) {
+      qc->forward_into(s.f(in_buf), rows, in_h, in_w, s.q(q_in), s.q(q_patch),
+                       fuse, s.f(out_buf));
     });
     return out_buf;
   }
 
-  if (auto* c = dynamic_cast<nn::Conv2d*>(&layer)) {
+  if (auto* c = dynamic_cast<const nn::Conv2d*>(&layer)) {
     *fused_next = fuse;
-    std::size_t out_buf = plan_conv(*c, sample, in_buf, fuse);
-    return out_buf;
+    return plan_conv(*c, sample, in_buf, fuse);
   }
 
-  if (auto* fc = dynamic_cast<nn::FactoredConv2d*>(&layer)) {
+  if (auto* fc = dynamic_cast<const nn::FactoredConv2d*>(&layer)) {
     tensor::Shape mid_shape = fc->basis().output_shape(sample);
     *fused_next = fuse;
     std::size_t mid_buf = plan_conv(fc->basis(), sample, in_buf, false);
-    std::size_t out_buf = plan_conv(fc->mixer(), mid_shape, mid_buf, fuse);
-    return out_buf;
+    return plan_conv(fc->mixer(), mid_shape, mid_buf, fuse);
   }
 
-  if (auto* dw = dynamic_cast<nn::DepthwiseConv2d*>(&layer)) {
+  if (auto* dw = dynamic_cast<const nn::DepthwiseConv2d*>(&layer)) {
     std::size_t in_h = sample.dim(1);
     std::size_t in_w = sample.dim(2);
     std::size_t out_buf = new_fbuf(out_shape.elements());
-    const nn::DepthwiseConv2d* p = dw;
-    steps_.push_back([p, in_buf, out_buf, in_h, in_w](ForwardArena& a,
-                                                      std::size_t rows) {
-      tensor::depthwise_nhwc_into(a.fptr(in_buf), rows, in_h, in_w,
-                                  p->weights().data().data(),
-                                  p->bias().data().data(), p->spec(),
-                                  a.fptr(out_buf));
+    steps_.push_back([dw, in_buf, out_buf, in_h, in_w](Scratch& s,
+                                                       std::size_t rows) {
+      tensor::depthwise_nhwc_into(s.f(in_buf), rows, in_h, in_w,
+                                  dw->weights().data().data(),
+                                  dw->bias().data().data(), dw->spec(),
+                                  s.f(out_buf));
     });
     return out_buf;
   }
 
   // --- pooling ------------------------------------------------------------
-  auto* mp = dynamic_cast<nn::MaxPool2d*>(&layer);
-  auto* ap = dynamic_cast<nn::AvgPool2d*>(&layer);
+  auto* mp = dynamic_cast<const nn::MaxPool2d*>(&layer);
+  auto* ap = dynamic_cast<const nn::AvgPool2d*>(&layer);
   if (mp != nullptr || ap != nullptr) {
     std::size_t window = mp != nullptr ? mp->window() : ap->window();
     std::size_t channels = sample.dim(0);
@@ -234,27 +218,27 @@ std::optional<std::size_t> ForwardArena::plan_steps(
     std::size_t out_buf = new_fbuf(out_shape.elements());
     bool max = mp != nullptr;
     steps_.push_back([in_buf, out_buf, window, channels, h, w, max](
-                         ForwardArena& a, std::size_t rows) {
-      tensor::pool_nhwc_into(a.fptr(in_buf), rows, h, w, channels, window, max,
-                             a.fptr(out_buf));
+                         Scratch& s, std::size_t rows) {
+      tensor::pool_nhwc_into(s.f(in_buf), rows, h, w, channels, window, max,
+                             s.f(out_buf));
     });
     return out_buf;
   }
 
-  if (dynamic_cast<nn::GlobalAvgPool*>(&layer) != nullptr) {
+  if (dynamic_cast<const nn::GlobalAvgPool*>(&layer) != nullptr) {
     std::size_t channels = sample.dim(0);
     std::size_t pixels = sample.dim(1) * sample.dim(2);
     std::size_t out_buf = new_fbuf(channels);
-    steps_.push_back([in_buf, out_buf, channels, pixels](ForwardArena& a,
+    steps_.push_back([in_buf, out_buf, channels, pixels](Scratch& s,
                                                          std::size_t rows) {
-      tensor::global_avgpool_nhwc_into(a.fptr(in_buf), rows, pixels, channels,
-                                       a.fptr(out_buf));
+      tensor::global_avgpool_nhwc_into(s.f(in_buf), rows, pixels, channels,
+                                       s.f(out_buf));
     });
     return out_buf;
   }
 
   // --- normalization ------------------------------------------------------
-  if (auto* bn = dynamic_cast<nn::BatchNorm*>(&layer)) {
+  if (auto* bn = dynamic_cast<const nn::BatchNorm*>(&layer)) {
     std::size_t features = bn->features();
     std::size_t elems = sample.elements();
     // Precompute inv_std from the running stats with the layer's exact
@@ -269,10 +253,10 @@ std::optional<std::size_t> ForwardArena::plan_steps(
     const float* beta = bn->beta().data().data();
     std::size_t out_buf = new_fbuf(elems);
     steps_.push_back([in_buf, out_buf, features, elems, mean, gamma, beta,
-                      inv_std = std::move(inv_std)](ForwardArena& a,
+                      inv_std = std::move(inv_std)](Scratch& s,
                                                     std::size_t rows) {
-      const float* x = a.fptr(in_buf);
-      float* o = a.fptr(out_buf);
+      const float* x = s.f(in_buf);
+      float* o = s.f(out_buf);
       common::parallel_for(
           0, rows * elems,
           [&](std::size_t lo, std::size_t hi) {
@@ -288,16 +272,13 @@ std::optional<std::size_t> ForwardArena::plan_steps(
   }
 
   // --- structure ----------------------------------------------------------
-  if (auto* res = dynamic_cast<nn::ResidualBlock*>(&layer)) {
+  if (auto* res = dynamic_cast<const nn::ResidualBlock*>(&layer)) {
     tensor::Shape body_shape = sample;
     std::size_t body_buf = in_buf;
-    std::vector<nn::Layer*> body;
-    for (const auto& lp : res->body()) body.push_back(lp.get());
-    if (!plan_chain(body, body_shape, body_buf)) return std::nullopt;
+    if (!plan_chain(res->body(), body_shape, body_buf)) return std::nullopt;
 
     std::size_t shortcut_buf = in_buf;
-    if (res->projection() != nullptr) {
-      auto* proj = const_cast<nn::Layer*>(res->projection());
+    if (const nn::Layer* proj = res->projection()) {
       tensor::Shape proj_shape = sample;
       bool dummy = false;
       auto proj_out = plan_layer(*proj, proj_shape, in_buf, nullptr, &dummy);
@@ -306,15 +287,15 @@ std::optional<std::size_t> ForwardArena::plan_steps(
     }
     std::size_t elems = out_shape.elements();
     std::size_t out_buf = new_fbuf(elems);
-    steps_.push_back([body_buf, shortcut_buf, out_buf, elems](ForwardArena& a,
-                                                              std::size_t rows) {
-      const float* b = a.fptr(body_buf);
-      const float* s = a.fptr(shortcut_buf);
-      float* o = a.fptr(out_buf);
+    steps_.push_back([body_buf, shortcut_buf, out_buf, elems](
+                         Scratch& s, std::size_t rows) {
+      const float* b = s.f(body_buf);
+      const float* sc = s.f(shortcut_buf);
+      float* o = s.f(out_buf);
       common::parallel_for(
           0, rows * elems,
           [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i) o[i] = b[i] + s[i];
+            for (std::size_t i = lo; i < hi; ++i) o[i] = b[i] + sc[i];
           },
           common::kForkScalarOps);
     });
@@ -325,10 +306,10 @@ std::optional<std::size_t> ForwardArena::plan_steps(
   auto elementwise = [&](auto f) -> std::optional<std::size_t> {
     std::size_t elems = sample.elements();
     std::size_t out_buf = new_fbuf(elems);
-    steps_.push_back([in_buf, out_buf, elems, f](ForwardArena& a,
+    steps_.push_back([in_buf, out_buf, elems, f](Scratch& s,
                                                  std::size_t rows) {
-      const float* in = a.fptr(in_buf);
-      float* o = a.fptr(out_buf);
+      const float* in = s.f(in_buf);
+      float* o = s.f(out_buf);
       common::parallel_for(
           0, rows * elems,
           [&](std::size_t lo, std::size_t hi) {
@@ -338,72 +319,80 @@ std::optional<std::size_t> ForwardArena::plan_steps(
     });
     return out_buf;
   };
-  if (dynamic_cast<nn::Relu*>(&layer) != nullptr) {
+  if (dynamic_cast<const nn::Relu*>(&layer) != nullptr) {
     return elementwise([](float v) { return v > 0.0F ? v : 0.0F; });
   }
-  if (dynamic_cast<nn::Sigmoid*>(&layer) != nullptr) {
+  if (dynamic_cast<const nn::Sigmoid*>(&layer) != nullptr) {
     return elementwise([](float v) { return 1.0F / (1.0F + std::exp(-v)); });
   }
-  if (dynamic_cast<nn::Tanh*>(&layer) != nullptr) {
+  if (dynamic_cast<const nn::Tanh*>(&layer) != nullptr) {
     return elementwise([](float v) { return std::tanh(v); });
   }
 
-  if (dynamic_cast<nn::Flatten*>(&layer) != nullptr) {
+  if (dynamic_cast<const nn::Flatten*>(&layer) != nullptr) {
     if (sample.rank() != 3) return in_buf;  // same flat data, new shape
     // Channels-last back to CHW, the feature order Model::forward gives the
     // dense layers.
     std::size_t channels = sample.dim(0);
     std::size_t pixels = sample.dim(1) * sample.dim(2);
     std::size_t out_buf = new_fbuf(out_shape.elements());
-    steps_.push_back([in_buf, out_buf, channels, pixels](ForwardArena& a,
+    steps_.push_back([in_buf, out_buf, channels, pixels](Scratch& s,
                                                          std::size_t rows) {
-      tensor::scatter_to_nchw(a.fptr(in_buf), rows, pixels, channels,
-                              a.fptr(out_buf));
+      tensor::scatter_to_nchw(s.f(in_buf), rows, pixels, channels,
+                              s.f(out_buf));
     });
     return out_buf;
   }
 
-  if (dynamic_cast<nn::Dropout*>(&layer) != nullptr) {
+  if (dynamic_cast<const nn::Dropout*>(&layer) != nullptr) {
     return in_buf;  // identity at inference
   }
 
   return std::nullopt;  // unsupported layer: the model cannot be served
 }
 
-void ForwardArena::reserve(std::size_t rows) {
+ForwardPlan::Scratch::Scratch(const ForwardPlan& plan)
+    : plan_(&plan),
+      floats_(plan.float_per_row_.size()),
+      quants_(plan.quant_per_row_.size()) {}
+
+void ForwardPlan::Scratch::reserve(std::size_t rows) {
   if (rows <= capacity_rows_) return;
-  for (auto& buf : fbufs_) {
-    if (buf.data.size() < rows * buf.per_row) buf.data.resize(rows * buf.per_row);
+  for (std::size_t i = 0; i < floats_.size(); ++i) {
+    floats_[i].resize(rows * plan_->float_per_row_[i]);
   }
-  for (auto& buf : qbufs_) {
-    if (buf.data.size() < rows * buf.per_row) buf.data.resize(rows * buf.per_row);
+  for (std::size_t i = 0; i < quants_.size(); ++i) {
+    quants_[i].resize(rows * plan_->quant_per_row_[i]);
   }
   capacity_rows_ = rows;
 }
 
-void ForwardArena::load(const float* input, std::size_t rows) {
-  OPENEI_CHECK(rows > 0, "arena run over zero rows");
-  reserve(rows);
+void ForwardPlan::load(const float* input, std::size_t rows,
+                       Scratch& scratch) const {
+  OPENEI_CHECK(rows > 0, "forward pass over zero rows");
+  OPENEI_CHECK(scratch.plan_ == this, "scratch belongs to another plan");
+  scratch.reserve(rows);
   tensor::gather_to_nhwc(input, rows, input_elems_ / input_pixels_,
-                         input_pixels_, fptr(in_buf_));
+                         input_pixels_, scratch.f(in_buf_));
 }
 
-const float* ForwardArena::run(const float* input, std::size_t rows) {
-  load(input, rows);
-  for (auto& step : steps_) step(*this, rows);
-  return fptr(out_buf_);
+const float* ForwardPlan::run(const float* input, std::size_t rows,
+                              Scratch& scratch) const {
+  load(input, rows, scratch);
+  for (const StepFn& step : steps_) step(scratch, rows);
+  return scratch.f(out_buf_);
 }
 
-std::vector<ForwardArena::StepTime> ForwardArena::profile(const float* input,
-                                                          std::size_t rows,
-                                                          std::size_t reps) {
-  OPENEI_CHECK(reps > 0, "arena profile over zero reps");
+std::vector<ForwardPlan::StepTime> ForwardPlan::profile(
+    const float* input, std::size_t rows, std::size_t reps,
+    Scratch& scratch) const {
+  OPENEI_CHECK(reps > 0, "forward profile over zero reps");
   std::vector<std::vector<double>> us(steps_.size(), std::vector<double>(reps));
   for (std::size_t r = 0; r < reps; ++r) {
-    load(input, rows);
+    load(input, rows, scratch);
     for (std::size_t i = 0; i < steps_.size(); ++i) {
       common::Stopwatch watch;
-      steps_[i](*this, rows);
+      steps_[i](scratch, rows);
       us[i][r] = watch.elapsed_seconds() * 1e6;
     }
   }
@@ -415,9 +404,13 @@ std::vector<ForwardArena::StepTime> ForwardArena::profile(const float* input,
   return times;
 }
 
-void ForwardArena::predict(const float* input, std::size_t rows,
-                           std::size_t* out) {
-  const float* logits = run(input, rows);
+void ForwardPlan::predict(const float* input, std::size_t rows,
+                          std::size_t* out, Scratch& scratch) const {
+  argmax(run(input, rows, scratch), rows, out);
+}
+
+void ForwardPlan::argmax(const float* logits, std::size_t rows,
+                         std::size_t* out) const {
   std::size_t cols = output_per_row_;
   for (std::size_t r = 0; r < rows; ++r) {
     const float* row = logits + r * cols;

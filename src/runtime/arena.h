@@ -1,19 +1,19 @@
-// Zero-allocation forward arena (paper Sec. IV-B: edge packages win latency
+// Zero-allocation forward plan (paper Sec. IV-B: edge packages win latency
 // partly by avoiding per-inference allocation and dispatch overhead).
 //
-// ForwardArena::plan walks a model once at session construction, sizes every
-// forward-pass buffer (layer outputs, im2col patches, int8 staging), and
-// compiles the layer graph into a flat list of steps over those buffers.
-// Steady-state run()/predict() then performs zero heap allocations: buffers
-// are 64-byte-aligned grow-only vectors reused across calls, and every step
-// replicates the corresponding layer's per-element arithmetic exactly, so
-// arena output is bit-identical to Model::forward at any thread count.
+// ForwardPlan::plan walks a model once, sizes every buffer per sample,
+// prepacks the fp32 weights and compiles the layers into a flat list of
+// steps.  The plan is immutable and its passes const; each concurrent caller
+// brings a Scratch holding only the buffers (aligned, grow-only: a warm pass
+// allocates nothing), so a second caller never re-plans or re-packs.  Every
+// step replicates its layer's arithmetic exactly: output is bit-identical to
+// Model::forward at any thread count.
 //
-// Every rank-3 activation in the arena is channels-last (NHWC): load()
+// Every rank-3 activation in a pass is channels-last (NHWC): the input load
 // transposes the NCHW input once, a conv's GEMM output [pixels, out_c] feeds
 // the next layer as is, and Flatten transposes back to CHW feature order.
 //
-// The arena is the only inference executor: InferenceSession refuses a model
+// The plan is the only inference executor: InferenceSession refuses a model
 // it cannot plan, and Model::forward serves training and tests.
 #pragma once
 
@@ -34,30 +34,48 @@ class Conv2d;
 
 namespace openei::runtime {
 
-class ForwardArena {
+class ForwardPlan {
  public:
-  /// Plans a zero-alloc executor over `model`'s layers.  The arena captures
-  /// pointers into the model's layers, so the model must outlive the arena
-  /// and keep its weights fixed (layer addresses are stable across Model
-  /// moves — layers are unique_ptr-owned).  Returns nullptr when any layer
-  /// is unsupported or the model output is not a flat logit vector.
-  static std::unique_ptr<ForwardArena> plan(nn::Model& model);
+  /// One caller's activation and int8 staging buffers for one plan, which
+  /// must outlive it; it serves one pass at a time.
+  class Scratch {
+   public:
+    explicit Scratch(const ForwardPlan& plan);
+    /// Grows every buffer to `rows` samples; smaller passes then allocate
+    /// nothing.
+    void reserve(std::size_t rows);
 
-  ForwardArena(const ForwardArena&) = delete;
-  ForwardArena& operator=(const ForwardArena&) = delete;
+   private:
+    friend class ForwardPlan;
+    float* f(std::size_t idx) { return floats_[idx].data(); }
+    std::uint8_t* q(std::size_t idx) { return quants_[idx].data(); }
 
-  /// Grows every buffer to cover `rows` samples.  Calling this up front
-  /// makes subsequent run()/predict() calls with <= rows allocation-free.
-  void reserve(std::size_t rows);
+    const ForwardPlan* plan_;
+    std::vector<common::aligned_vector<float>> floats_;
+    std::vector<common::aligned_vector<std::uint8_t>> quants_;
+    std::size_t capacity_rows_ = 0;
+  };
+
+  /// Plans `model`, which must outlive the plan and keep its weights fixed
+  /// (steps point into its layers).  Returns nullptr when any layer is
+  /// unsupported or the model output is not a flat logit vector.
+  static std::unique_ptr<const ForwardPlan> plan(const nn::Model& model);
+
+  ForwardPlan(const ForwardPlan&) = delete;
+  ForwardPlan& operator=(const ForwardPlan&) = delete;
 
   /// Forward pass over `rows` samples ([rows * input_elems()] floats,
-  /// row-major).  Returns the logits buffer ([rows, classes()]), valid until
-  /// the next run/reserve call.
-  const float* run(const float* input, std::size_t rows);
+  /// row-major) in `scratch`.  Returns the logits ([rows, classes()]),
+  /// valid until the scratch's next pass.
+  const float* run(const float* input, std::size_t rows,
+                   Scratch& scratch) const;
 
-  /// Argmax predictions into `out` (size `rows`); matches Model::predict
+  /// run(), then argmax() of its logits into `out` (size `rows`).
+  void predict(const float* input, std::size_t rows, std::size_t* out,
+               Scratch& scratch) const;
+  /// Argmax of each of `rows` logit rows into `out`; matches Model::predict
   /// exactly (first maximum wins).
-  void predict(const float* input, std::size_t rows, std::size_t* out);
+  void argmax(const float* logits, std::size_t rows, std::size_t* out) const;
 
   /// One planned step and its median wall time.
   struct StepTime {
@@ -66,9 +84,9 @@ class ForwardArena {
   };
   /// Runs `reps` forward passes over `rows` samples, timing every step, and
   /// returns one entry per planned step in execution order.  Leaves the
-  /// same logits as run() in the buffer run() returns.
+  /// same logits in `scratch` as run().
   std::vector<StepTime> profile(const float* input, std::size_t rows,
-                                std::size_t reps);
+                                std::size_t reps, Scratch& scratch) const;
 
   std::size_t input_elems() const { return input_elems_; }
   std::size_t classes() const { return output_per_row_; }
@@ -78,42 +96,35 @@ class ForwardArena {
   bool dynamic_ranges() const { return dynamic_ranges_; }
 
  private:
-  ForwardArena() = default;
+  ForwardPlan() = default;
 
-  struct FloatBuf {
-    std::size_t per_row = 0;
-    common::aligned_vector<float> data;
-  };
-  struct QuantBuf {  // int8 activations in the GEMM's biased encoding
-    std::size_t per_row = 0;
-    common::aligned_vector<std::uint8_t> data;
-  };
-  /// One compiled layer step; reads/writes arena buffers by index.
-  using StepFn = std::function<void(ForwardArena&, std::size_t rows)>;
+  /// One compiled layer step; reads/writes scratch buffers by index.
+  using StepFn = std::function<void(Scratch&, std::size_t rows)>;
 
-  /// Grows the buffers to `rows` and loads `input` into the input buffer.
-  void load(const float* input, std::size_t rows);
+  /// Grows `scratch` to `rows` and loads `input` into the input buffer.
+  void load(const float* input, std::size_t rows, Scratch& scratch) const;
   std::size_t new_fbuf(std::size_t per_row);
   std::size_t new_qbuf(std::size_t per_row);
-  float* fptr(std::size_t idx) { return fbufs_[idx].data.data(); }
-  std::uint8_t* qptr(std::size_t idx) { return qbufs_[idx].data.data(); }
 
   /// Plans layers[i..] sequentially, applying the ReLU-fusion peephole for
   /// GEMM-backed layers (float and quantized).  Updates `sample` (per-sample
   /// shape) and `cur` (current buffer).  Returns false on the first
   /// unsupported layer.
-  bool plan_chain(const std::vector<nn::Layer*>& layers, tensor::Shape& sample,
-                  std::size_t& cur);
+  bool plan_chain(const std::vector<nn::LayerPtr>& layers,
+                  tensor::Shape& sample, std::size_t& cur);
   /// Plans one layer; `next` (may be null) enables the fused-ReLU peephole —
   /// when taken, *fused_next is set and the caller skips `next`.  Labels the
   /// layer's steps that nested layers (a residual body) did not label.
-  std::optional<std::size_t> plan_layer(nn::Layer& layer, tensor::Shape& sample,
-                                        std::size_t in_buf, nn::Layer* next,
+  std::optional<std::size_t> plan_layer(const nn::Layer& layer,
+                                        tensor::Shape& sample,
+                                        std::size_t in_buf,
+                                        const nn::Layer* next,
                                         bool* fused_next);
-  std::optional<std::size_t> plan_steps(nn::Layer& layer,
+  std::optional<std::size_t> plan_steps(const nn::Layer& layer,
                                         const tensor::Shape& sample,
                                         const tensor::Shape& out_shape,
-                                        std::size_t in_buf, nn::Layer* next,
+                                        std::size_t in_buf,
+                                        const nn::Layer* next,
                                         bool* fused_next);
   /// Shared float-conv planner (Conv2d and both halves of FactoredConv2d):
   /// channels-last im2col (none for a 1x1 stride-1 unpadded conv) into the
@@ -122,8 +133,8 @@ class ForwardArena {
   std::size_t plan_conv(const nn::Conv2d& conv, const tensor::Shape& in_sample,
                         std::size_t in_buf, bool fuse_relu);
 
-  std::vector<FloatBuf> fbufs_;
-  std::vector<QuantBuf> qbufs_;
+  std::vector<std::size_t> float_per_row_;  // per-sample floats, per buffer
+  std::vector<std::size_t> quant_per_row_;  // per-sample bytes, per buffer
   std::vector<StepFn> steps_;
   std::vector<std::string> labels_;              // one per step
   std::map<std::string, std::size_t> ordinals_;  // plan time: layers per type
@@ -133,7 +144,6 @@ class ForwardArena {
   std::size_t output_per_row_ = 0;
   std::size_t in_buf_ = 0;
   std::size_t out_buf_ = 0;
-  std::size_t capacity_rows_ = 0;
   bool dynamic_ranges_ = false;
 };
 

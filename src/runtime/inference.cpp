@@ -6,37 +6,31 @@
 
 namespace openei::runtime {
 
-InferenceSession::InferenceSession(nn::Model model, hwsim::PackageSpec package,
+InferenceSession::InferenceSession(std::shared_ptr<const nn::Model> model,
+                                   hwsim::PackageSpec package,
                                    hwsim::DeviceProfile device)
     : model_(std::move(model)),
       package_(std::move(package)),
       device_(std::move(device)) {
-  per_sample_ = hwsim::estimate_inference(model_, package_, device_);
+  per_sample_ = hwsim::estimate_inference(*model_, package_, device_);
   if (per_sample_.memory_bytes > device_.ram_bytes) {
     throw ResourceExhausted(detail::concat(
-        "model '", model_.name(), "' needs ", per_sample_.memory_bytes,
+        "model '", model_->name(), "' needs ", per_sample_.memory_bytes,
         " bytes but device '", device_.name, "' has ", device_.ram_bytes));
   }
-  // Pre-plan the first zero-alloc forward arena; single-sample buffers are
-  // grown here so a steady-state run(1-row batch) never touches the heap.
-  slots_mutex_ = std::make_unique<std::mutex>();
-  std::unique_ptr<ArenaSlot> slot = plan_slot();
-  input_elems_ = slot->arena->input_elems();
-  dynamic_ranges_ = slot->arena->dynamic_ranges();
-  idle_slots_.push_back(std::move(slot));
-}
-
-std::unique_ptr<InferenceSession::ArenaSlot> InferenceSession::plan_slot() {
-  auto slot = std::make_unique<ArenaSlot>();
-  slot->arena = ForwardArena::plan(model_);
-  if (slot->arena == nullptr) {
+  plan_ = ForwardPlan::plan(*model_);
+  if (plan_ == nullptr) {
     throw InvalidArgument(detail::concat(
-        "model '", model_.name(),
+        "model '", model_->name(),
         "' does not end in a flat logit vector; a session cannot predict it"));
   }
-  slot->arena->reserve(1);
-  return slot;
+  idle_slots_.push_back(std::make_unique<Slot>(*plan_));
 }
+
+InferenceSession::InferenceSession(nn::Model model, hwsim::PackageSpec package,
+                                   hwsim::DeviceProfile device)
+    : InferenceSession(std::make_shared<const nn::Model>(std::move(model)),
+                       std::move(package), std::move(device)) {}
 
 InferenceResult InferenceSession::priced(std::size_t rows) const {
   InferenceResult result;
@@ -50,7 +44,7 @@ InferenceResult InferenceSession::priced(std::size_t rows) const {
 
 void InferenceSession::predict_rows(std::span<const Rows> requests,
                                     std::span<InferenceResult> results) {
-  std::unique_ptr<ArenaSlot> slot;
+  std::unique_ptr<Slot> slot;
   {
     std::lock_guard<std::mutex> lock(*slots_mutex_);
     if (!idle_slots_.empty()) {
@@ -58,38 +52,34 @@ void InferenceSession::predict_rows(std::span<const Rows> requests,
       idle_slots_.pop_back();
     }
   }
-  if (slot == nullptr) slot = plan_slot();
-  ForwardArena& arena = *slot->arena;
-  if (requests.size() == 1 || dynamic_ranges_) {
+  if (slot == nullptr) slot = std::make_unique<Slot>(*plan_);
+  const std::size_t input_elems = plan_->input_elems();
+  if (requests.size() == 1 || plan_->dynamic_ranges()) {
     for (std::size_t i = 0; i < requests.size(); ++i) {
-      arena.predict(requests[i].data, requests[i].count,
-                    results[i].predictions.data());
+      plan_->predict(requests[i].data, requests[i].count,
+                     results[i].predictions.data(), slot->scratch);
     }
   } else {
     // Fuse: stage every request's rows into one grow-only buffer and run a
     // single pass — no Tensor construction, so steady state stays alloc-free.
     std::size_t total_rows = 0;
     for (const Rows& request : requests) total_rows += request.count;
-    if (slot->fused_staging.size() < total_rows * input_elems_) {
-      slot->fused_staging.resize(total_rows * input_elems_);
-    }
-    if (slot->pred_staging.size() < total_rows) {
-      slot->pred_staging.resize(total_rows);
+    if (slot->fused_staging.size() < total_rows * input_elems) {
+      slot->fused_staging.resize(total_rows * input_elems);
     }
     float* staged = slot->fused_staging.data();
     for (const Rows& request : requests) {
-      staged = std::copy_n(request.data, request.count * input_elems_, staged);
+      staged = std::copy_n(request.data, request.count * input_elems, staged);
     }
-    arena.predict(slot->fused_staging.data(), total_rows,
-                  slot->pred_staging.data());
-    const std::size_t* pred = slot->pred_staging.data();
+    const float* logits =
+        plan_->run(slot->fused_staging.data(), total_rows, slot->scratch);
     for (std::size_t i = 0; i < requests.size(); ++i) {
-      std::copy_n(pred, requests[i].count, results[i].predictions.begin());
-      pred += requests[i].count;
+      plan_->argmax(logits, requests[i].count, results[i].predictions.data());
+      logits += requests[i].count * plan_->classes();
     }
   }
-  // A pass that throws drops its slot; the next caller short of one plans
-  // a fresh arena.
+  // A pass that throws drops its slot; the next caller short of one makes
+  // a fresh one.
   std::lock_guard<std::mutex> lock(*slots_mutex_);
   idle_slots_.push_back(std::move(slot));
 }
@@ -105,7 +95,7 @@ InferenceResult InferenceSession::run_rows(const float* rows_data,
 
 InferenceResult InferenceSession::run(const nn::Tensor& batch) {
   std::size_t rows = batch.shape().dim(0);
-  OPENEI_CHECK(batch.elements() == rows * input_elems_,
+  OPENEI_CHECK(batch.elements() == rows * plan_->input_elems(),
                "batch sample shape does not match model input");
   return run_rows(batch.data().data(), rows);
 }
@@ -120,7 +110,7 @@ std::vector<InferenceResult> InferenceSession::predict_batch(
   for (const nn::Tensor& request : requests) {
     OPENEI_CHECK(request.shape().rank() >= 2, "request needs a batch dim");
     std::size_t count = request.shape().dim(0);
-    OPENEI_CHECK(request.elements() == count * input_elems_,
+    OPENEI_CHECK(request.elements() == count * plan_->input_elems(),
                  "request sample shape does not match model input");
     rows.push_back(Rows{request.data().data(), count});
     results.push_back(priced(count));

@@ -1,7 +1,8 @@
 // Inference and local-training sessions — the execution half of the OpenEI
 // package manager (paper Sec. III-B).  A session binds a model to a device
 // profile and package; running it produces real predictions from the NN
-// engine plus simulated ALEM costs from the hardware model.
+// engine plus simulated ALEM costs from the hardware model.  It plans its
+// shared, immutable model once and pools per-caller scratch buffers.
 #pragma once
 
 #include <memory>
@@ -37,7 +38,11 @@ class InferenceSession {
   /// Throws ResourceExhausted when the model does not fit the device's RAM
   /// under the package — the deployment failure mode the model selector's
   /// memory constraint exists to avoid — and InvalidArgument when the model
-  /// has no flat logit output, so the forward arena cannot serve it.
+  /// has no flat logit output, so no forward plan can serve it.  The model
+  /// must keep its weights fixed while the session lives.
+  InferenceSession(std::shared_ptr<const nn::Model> model,
+                   hwsim::PackageSpec package, hwsim::DeviceProfile device);
+  /// Same, over a model the session takes ownership of.
   InferenceSession(nn::Model model, hwsim::PackageSpec package,
                    hwsim::DeviceProfile device);
 
@@ -57,7 +62,7 @@ class InferenceSession {
   std::vector<InferenceResult> predict_batch(
       const std::vector<nn::Tensor>& requests);
 
-  const nn::Model& model() const { return model_; }
+  const nn::Model& model() const { return *model_; }
   const hwsim::PackageSpec& package() const { return package_; }
   const hwsim::DeviceProfile& device() const { return device_; }
   const hwsim::InferenceCost& per_sample_cost() const { return per_sample_; }
@@ -68,36 +73,37 @@ class InferenceSession {
     const float* data;
     std::size_t count;
   };
-  /// A forward arena plus the staging a fused pass needs.  One caller holds
-  /// it for the length of a pass.
-  struct ArenaSlot {
-    std::unique_ptr<ForwardArena> arena;
+  /// One caller's forward scratch plus the staging a fused pass needs.  One
+  /// caller holds it for the length of a pass.
+  struct Slot {
+    explicit Slot(const ForwardPlan& plan) : scratch(plan) {
+      scratch.reserve(1);  // a steady-state single-row run never allocates
+    }
+    ForwardPlan::Scratch scratch;
     std::vector<float> fused_staging;
-    std::vector<std::size_t> pred_staging;
   };
 
-  /// The session's one forward path: runs the requests on an idle arena and
+  /// The session's one forward path: runs the requests on an idle slot and
   /// writes each request's argmax into the matching results[i].predictions
   /// (pre-sized).  A session has concurrent callers on the served path —
   /// every /ei_stream worker on the model beside the MicroBatcher's flush
-  /// thread — so a caller that finds every arena busy plans another rather
-  /// than wait: the pool grows to the peak number of concurrent callers,
-  /// and steady state allocates nothing.
+  /// thread — so a caller that finds every slot busy makes another rather
+  /// than wait: the pool grows to the peak number of concurrent callers by
+  /// scratch buffers alone, and steady state allocates nothing.
   void predict_rows(std::span<const Rows> requests,
                     std::span<InferenceResult> results);
-  std::unique_ptr<ArenaSlot> plan_slot();
   /// A result with `rows` predictions slots and the simulated batch cost.
   InferenceResult priced(std::size_t rows) const;
 
-  nn::Model model_;
+  std::shared_ptr<const nn::Model> model_;
   hwsim::PackageSpec package_;
   hwsim::DeviceProfile device_;
   hwsim::InferenceCost per_sample_;
-  std::size_t input_elems_ = 0;
-  bool dynamic_ranges_ = false;
+  // Heap-held, so slots' scratch keeps pointing at it across session moves.
+  std::unique_ptr<const ForwardPlan> plan_;
   // Behind a unique_ptr so the session stays movable (mutexes are not).
-  std::unique_ptr<std::mutex> slots_mutex_;
-  std::vector<std::unique_ptr<ArenaSlot>> idle_slots_;
+  std::unique_ptr<std::mutex> slots_mutex_ = std::make_unique<std::mutex>();
+  std::vector<std::unique_ptr<Slot>> idle_slots_;
 };
 
 /// On-device transfer learning: retrains the model's final dense head (all

@@ -129,11 +129,11 @@ SessionCache::Lease SessionCache::acquire(const std::string& name,
     throw MemoryPressureError(name, bytes, budget_, resident_now);
   }
 
-  // Materialize outside the lock (model clone + arena planning are the slow
-  // part of a cold miss); concurrent misses for *different* models overlap.
-  auto session = std::make_shared<InferenceSession>(entry->model.clone(),
-                                                    package_, device_);
-  bytes = session->per_sample_cost().memory_bytes;
+  // Materialize outside the lock (planning is the slow part of a cold miss);
+  // the session shares the snapshot's model.  Misses for other models overlap.
+  auto session = std::make_shared<InferenceSession>(
+      std::shared_ptr<const nn::Model>(entry, &entry->model), package_,
+      device_);
 
   {
     std::unique_lock<std::mutex> lock(mutex_);

@@ -10,8 +10,8 @@
 //     memory (DeviceProfile::model_memory_budget) — weights + activation
 //     arenas + package runtime per session, the same number the selector's
 //     memory constraint reasons about.
-//   - Sessions materialize lazily on first use (one model clone + arena
-//     plan per deployment version) and are reused zero-copy afterwards.
+//   - Sessions materialize lazily on first use (one forward plan over the
+//     registry entry's own model per deployment version) and are reused.
 //   - When admitting a session would exceed the budget, cold sessions are
 //     evicted in strict LRU order; a model that cannot fit even into an
 //     empty cache is refused with MemoryPressureError (libei answers 503
@@ -110,7 +110,7 @@ class SessionCache {
   SessionCache& operator=(const SessionCache&) = delete;
 
   /// Warm hit: shared session for the model's current registry version.
-  /// Cold miss: materializes (clone + arena plan) under admission control.
+  /// Cold miss: materializes (forward plan) under admission control.
   /// Throws NotFound when the registry lacks the model, MemoryPressureError
   /// when the budget cannot admit it, ResourceExhausted when the model does
   /// not fit the device at all.

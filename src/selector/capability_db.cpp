@@ -12,7 +12,7 @@ namespace {
 
 /// Median wall-clock latency of `reps` single-sample inferences through a
 /// real InferenceSession (first sample of `test` as the probe input).  One
-/// warmup call grows the session's arena buffers so the measured loop runs
+/// warmup call grows the session's scratch buffers so the measured loop runs
 /// at steady state.
 double measure_latency_s(const nn::Model& model,
                          const hwsim::PackageSpec& package,

@@ -395,7 +395,7 @@ Tensor conv2d_im2col(const Tensor& input, const Tensor& weights, const Tensor& b
   const std::size_t out_h = spec.out_size(in_h);
   const std::size_t out_w = spec.out_size(in_w);
   const std::size_t rows = n * out_h * out_w;
-  // The forward arena's conv step: the same gather and weight pack feed the
+  // The forward plan's conv step: the same gather and weight pack feed the
   // same GEMM, so the two conv routes stay bitwise-identical.
   return via_nhwc(
       input, Shape{n, spec.out_channels, out_h, out_w},

@@ -89,11 +89,11 @@ Tensor via_nhwc(const Tensor& input, const Shape& out_shape, Kernel kernel) {
 }
 
 /// Convolution via channels-last im2col + the packed GEMM; numerically
-/// equivalent to conv2d() and bitwise equal to the forward arena's conv.
+/// equivalent to conv2d() and bitwise equal to the forward plan's conv.
 Tensor conv2d_im2col(const Tensor& input, const Tensor& weights, const Tensor& bias,
                      const Conv2dSpec& spec);
 
-/// Channels-last kernels over raw NHWC buffers.  The forward arena runs
+/// Channels-last kernels over raw NHWC buffers.  The forward plan runs
 /// them directly; the Tensor routes below convert NCHW at both ends and run
 /// the same kernels, so the two give bitwise the same values.
 /// Depthwise conv: weights [C, 1, k, k], bias [C].

@@ -5,8 +5,8 @@
 // B is packed into 16-float-wide column panels (one 512-bit vector, two
 // 256-bit vectors) in 64-byte-aligned storage; the microkernels stream one
 // panel row per k step and keep an MRx16 (or MRx32) accumulator tile in
-// registers.  Model weights are packed once at session build by the forward
-// arena; tensor::gemm packs per call into reusable scratch.
+// registers.  Model weights are packed once per session by the forward
+// plan; tensor::gemm packs per call into reusable scratch.
 //
 // Accuracy contract: unlike the int8 engine (exact integer accumulation,
 // bit-identical across ISA levels), the FMA kernels reassociate nothing but

@@ -113,32 +113,42 @@ const char* int8_isa_name(int level) {
   }
 }
 
+#if OPENEI_X86_SIMD_DISPATCH
 namespace {
 
-__attribute__((always_inline)) inline void quantize_bulk_body(
-    const float* src, std::size_t n, const QuantParams p, std::int8_t* dst) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = quantize_one(src[i], p);
+/// quantize_one over 16 lanes at a time, written out in intrinsics so every
+/// build type runs the same vector body: a true division (a reciprocal
+/// multiply rounds differently), half away from zero by adding +-0.5 and
+/// truncating, the +-512 clamp, then `offset` added and the result clamped
+/// to [lo, hi] — zp and [-128, 127] for int8, zp + 128 and [0, 255] for the
+/// biased encoding.  Stores the low byte of each lane.
+__attribute__((target("avx512f,avx512bw,avx512vl"))) void quantize_avx512(
+    const float* src, std::size_t n, float scale, std::int32_t offset,
+    std::int32_t lo, std::int32_t hi, std::uint8_t* dst) {
+  const __m512 vscale = _mm512_set1_ps(scale);
+  const __m512 half = _mm512_set1_ps(0.5F);
+  const __m512 neg_half = _mm512_set1_ps(-0.5F);
+  const __m512 limit = _mm512_set1_ps(512.0F);
+  const __m512 neg_limit = _mm512_set1_ps(-512.0F);
+  const __m512i voffset = _mm512_set1_epi32(offset);
+  const __m512i vlo = _mm512_set1_epi32(lo);
+  const __m512i vhi = _mm512_set1_epi32(hi);
+  for (std::size_t i = 0; i < n; i += 16) {
+    const __mmask16 mask =
+        n - i >= 16 ? __mmask16(0xFFFF) : __mmask16((1U << (n - i)) - 1);
+    __m512 t = _mm512_div_ps(_mm512_maskz_loadu_ps(mask, src + i), vscale);
+    const __mmask16 nonneg =
+        _mm512_cmp_ps_mask(t, _mm512_setzero_ps(), _CMP_GE_OQ);
+    t = _mm512_add_ps(t, _mm512_mask_blend_ps(nonneg, neg_half, half));
+    t = _mm512_min_ps(_mm512_max_ps(t, neg_limit), limit);
+    __m512i q = _mm512_add_epi32(_mm512_cvttps_epi32(t), voffset);
+    q = _mm512_min_epi32(_mm512_max_epi32(q, vlo), vhi);
+    _mm512_mask_cvtepi32_storeu_epi8(dst + i, mask, q);
+  }
 }
-
-__attribute__((always_inline)) inline void quantize_biased_body(
-    const float* src, std::size_t n, const QuantParams p, std::uint8_t* dst) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = biased(quantize_one(src[i], p));
-}
-
-#if OPENEI_X86_SIMD_DISPATCH
-__attribute__((target("avx512f,avx512bw,avx512vl"))) void quantize_bulk_avx512(
-    const float* src, std::size_t n, const QuantParams p, std::int8_t* dst) {
-  quantize_bulk_body(src, n, p, dst);
-}
-
-__attribute__((target("avx512f,avx512bw,avx512vl"))) void
-quantize_biased_avx512(const float* src, std::size_t n, const QuantParams p,
-                       std::uint8_t* dst) {
-  quantize_biased_body(src, n, p, dst);
-}
-#endif
 
 }  // namespace
+#endif
 
 void quantize_to_int8(const float* src, std::size_t n, const QuantParams& p,
                       std::int8_t* dst) {
@@ -146,22 +156,23 @@ void quantize_to_int8(const float* src, std::size_t n, const QuantParams& p,
   // AVX2 shows no gain here (the blend-heavy clamp chain stays divps-bound);
   // the masked 512-bit form is ~8x faster than the baseline loop.
   if (simd_level() >= 2) {
-    quantize_bulk_avx512(src, n, p, dst);
+    quantize_avx512(src, n, p.scale, p.zero_point, kQMin, kQMax,
+                    reinterpret_cast<std::uint8_t*>(dst));
     return;
   }
 #endif
-  quantize_bulk_body(src, n, p, dst);
+  for (std::size_t i = 0; i < n; ++i) dst[i] = quantize_one(src[i], p);
 }
 
 void quantize_biased(const float* src, std::size_t n, const QuantParams& p,
                      std::uint8_t* dst) {
 #if OPENEI_X86_SIMD_DISPATCH
   if (simd_level() >= 2) {
-    quantize_biased_avx512(src, n, p, dst);
+    quantize_avx512(src, n, p.scale, p.zero_point + 128, 0, 255, dst);
     return;
   }
 #endif
-  quantize_biased_body(src, n, p, dst);
+  for (std::size_t i = 0; i < n; ++i) dst[i] = biased(quantize_one(src[i], p));
 }
 
 QuantizedTensor::QuantizedTensor(Shape shape, std::vector<std::int8_t> data,
@@ -213,7 +224,8 @@ std::int8_t quantize_symmetric(float v, float scale) {
 }  // namespace
 
 PackedQuantMatrix PackedQuantMatrix::pack_rows(const Tensor& weights,
-                                               bool per_channel) {
+                                               bool per_channel,
+                                               std::size_t patch_kernel) {
   OPENEI_CHECK(weights.shape().rank() == 2, "pack_rows requires a rank-2 tensor");
   std::size_t rows = weights.shape().dim(0);
   std::size_t cols = weights.shape().dim(1);
@@ -234,7 +246,7 @@ PackedQuantMatrix PackedQuantMatrix::pack_rows(const Tensor& weights,
     std::int8_t* dst = packed.data_.data() + r * cols;
     for (std::size_t c = 0; c < cols; ++c) dst[c] = quantize_symmetric(row[c], scale);
   }
-  packed.finalize();
+  packed.finalize(patch_kernel);
   return packed;
 }
 
@@ -270,7 +282,7 @@ PackedQuantMatrix::PackedQuantMatrix(std::size_t rows, std::size_t cols,
                                      std::vector<std::int8_t> data,
                                      std::vector<float> scales,
                                      std::int32_t weight_zero_point,
-                                     bool per_channel)
+                                     bool per_channel, std::size_t patch_kernel)
     : rows_(rows),
       cols_(cols),
       data_(std::move(data)),
@@ -283,10 +295,13 @@ PackedQuantMatrix::PackedQuantMatrix(std::size_t rows, std::size_t cols,
   for (float s : scales_) {
     OPENEI_CHECK(std::isfinite(s) && s > 0.0F, "bad packed weight scale");
   }
-  finalize();
+  finalize(patch_kernel);
 }
 
-void PackedQuantMatrix::finalize() {
+void PackedQuantMatrix::finalize(std::size_t patch_kernel) {
+  OPENEI_CHECK(patch_kernel == 0 || cols_ % (patch_kernel * patch_kernel) == 0,
+               "patch geometry does not match the packed columns");
+  patch_kernel_ = patch_kernel;
   row_sums_.resize(rows_);
   for (std::size_t r = 0; r < rows_; ++r) {
     std::int32_t sum = 0;
@@ -297,34 +312,24 @@ void PackedQuantMatrix::finalize() {
   build_kernel_views();
 }
 
-void PackedQuantMatrix::use_channels_last_patches(std::size_t channels,
-                                                  std::size_t kernel) {
-  OPENEI_CHECK(channels * kernel * kernel == cols_,
-               "patch geometry does not match the packed columns");
-  patch_channels_ = channels;
-  patch_kernel_ = kernel;
-  build_kernel_views();
-}
-
 void PackedQuantMatrix::build_kernel_views() {
   // Kernel column j holds stored column src[j]: the identity, or the conv
   // permutation (kh, kw, c) <- (c, kh, kw).
   std::vector<std::size_t> src(cols_);
   const std::size_t kk = patch_kernel_ * patch_kernel_;
   std::size_t j = 0;
-  if (patch_channels_ == 0) {
+  if (patch_kernel_ == 0) {
     for (; j < cols_; ++j) src[j] = j;
   } else {
     for (std::size_t pos = 0; pos < kk; ++pos) {  // pos = kh * kernel + kw
-      for (std::size_t c = 0; c < patch_channels_; ++c) src[j++] = c * kk + pos;
+      for (std::size_t c = 0; c < cols_ / kk; ++c) src[j++] = c * kk + pos;
     }
   }
   // Row view: each row zero-padded to a 16-lane boundary so the pmaddwd
   // inner loop is tail-free.  Zero weights are exact no-ops in the affine
   // sum; an unpermuted matrix of 16-multiple rows is its own view.
   kernel_cols_ = (cols_ + 15) / 16 * 16;
-  kernel_data_.clear();
-  if (patch_channels_ != 0 || kernel_cols_ != cols_) {
+  if (patch_kernel_ != 0 || kernel_cols_ != cols_) {
     kernel_data_.assign(rows_ * kernel_cols_, 0);
     for (std::size_t r = 0; r < rows_; ++r) {
       const std::int8_t* row = data_.data() + r * cols_;

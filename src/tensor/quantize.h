@@ -64,7 +64,7 @@ inline std::int8_t quantize_one(float v, const QuantParams& p) {
 }
 
 /// Quantizes `n` floats into `dst` with shared parameters (activation
-/// quantization; the raw-buffer form the forward arena uses).
+/// quantization; the raw-buffer form the forward plan uses).
 void quantize_to_int8(const float* src, std::size_t n, const QuantParams& p,
                       std::int8_t* dst);
 
@@ -122,23 +122,21 @@ class PackedQuantMatrix {
   static PackedQuantMatrix pack_transposed(const Tensor& weights,
                                            bool per_channel);
   /// Packs weights already stored [rows, cols] (the conv layout
-  /// [out_channels, in_channels*k*k] after reshaping).
-  static PackedQuantMatrix pack_rows(const Tensor& weights, bool per_channel);
+  /// [out_channels, in_channels*k*k] after reshaping).  A nonzero
+  /// `patch_kernel` builds the kernel views in the channels-last patch
+  /// order of a k x k conv (see patch_kernel()).
+  static PackedQuantMatrix pack_rows(const Tensor& weights, bool per_channel,
+                                     std::size_t patch_kernel = 0);
   /// Adopts legacy per-tensor affine int8 weights stored [cols, rows]
   /// (pre-per-channel serialized models); the exact int8 values are kept.
   static PackedQuantMatrix from_per_tensor(const QuantizedTensor& weights);
   /// Reassembles a matrix from serialized parts (scales size must be 1 — a
-  /// per-tensor scale broadcast to every row — or `rows`).
+  /// per-tensor scale broadcast to every row — or `rows`); `patch_kernel`
+  /// as in pack_rows.
   PackedQuantMatrix(std::size_t rows, std::size_t cols,
                     std::vector<std::int8_t> data, std::vector<float> scales,
-                    std::int32_t weight_zero_point, bool per_channel);
-
-  /// Puts the kernel views' columns in the channels-last patch order
-  /// (kh, kw, c) that `im2col_nhwc_q8` gathers, for conv weights whose
-  /// columns are stored (c, kh, kw).  `data()` and the serialized form keep
-  /// the stored order.  Rebuilds the views from `data()`, so calling it
-  /// again with the same geometry changes nothing.
-  void use_channels_last_patches(std::size_t channels, std::size_t kernel);
+                    std::int32_t weight_zero_point, bool per_channel,
+                    std::size_t patch_kernel = 0);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
@@ -164,6 +162,11 @@ class PackedQuantMatrix {
   const std::vector<std::int32_t>& row_sums() const { return row_sums_; }
   std::int32_t weight_zero_point() const { return weight_zero_point_; }
   bool per_channel() const { return per_channel_; }
+  /// Nonzero for conv weights stored (c, kh, kw): the kernel size k whose
+  /// channels-last patch order (kh, kw, c), the order `im2col_nhwc_q8`
+  /// gathers, both kernel views follow.  `data()` and the serialized form
+  /// keep the stored order.  0 for a dense matrix.
+  std::size_t patch_kernel() const { return patch_kernel_; }
 
   /// int8 payload plus per-row scales (row sums are a derived cache).
   std::size_t storage_bytes() const {
@@ -176,14 +179,15 @@ class PackedQuantMatrix {
 
  private:
   PackedQuantMatrix() = default;
-  void finalize();
+  /// Row sums and both kernel views, the latter in patch order for a
+  /// nonzero `patch_kernel`.
+  void finalize(std::size_t patch_kernel = 0);
   void build_kernel_views();
 
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::size_t kernel_cols_ = 0;          // cols rounded up to a multiple of 16
-  std::size_t patch_channels_ = 0;       // > 0: kernel columns are (kh, kw, c)
-  std::size_t patch_kernel_ = 0;
+  std::size_t patch_kernel_ = 0;         // > 0: kernel columns are (kh, kw, c)
   std::vector<std::int8_t> data_;        // [rows, cols]
   std::vector<std::int8_t> kernel_data_; // [rows, kernel_cols]; empty when
                                          // data_ already is that view

@@ -11,6 +11,7 @@
 #include "hwsim/device.h"
 #include "hwsim/package.h"
 #include "nn/zoo.h"
+#include "runtime/session_cache.h"
 
 namespace openei::core {
 namespace {
@@ -42,6 +43,28 @@ TEST(SessionCacheTest, RepeatCallsReuseCacheAndRedeployInvalidates) {
   // the call still works and reflects the *new* registry version.
   common::Json doc = common::Json::parse(fresh.body);
   EXPECT_EQ(doc.at("model").as_string(), "m");
+}
+
+TEST(SessionCacheTest, SessionSharesTheRegistryModel) {
+  // A cold miss builds its session over the registry entry's own model, not
+  // a copy, and the session keeps that snapshot alive past an erase.
+  Rng rng(8);
+  runtime::ModelRegistry registry;
+  registry.put(
+      {"home", "monitor", nn::zoo::make_mlp("m", 4, 2, {8}, rng), 0.9});
+  runtime::SessionCache cache(registry, hwsim::openei_package(),
+                              hwsim::raspberry_pi_4(), {});
+  runtime::SessionCache::Lease lease = cache.acquire("m");
+  EXPECT_EQ(&lease.session->model(), &registry.get("m")->model);
+
+  nn::Tensor row(tensor::Shape{1, 4});
+  std::vector<std::size_t> before = lease.session->run(row).predictions;
+  std::shared_ptr<runtime::InferenceSession> session = lease.session;
+  lease = {};
+  cache.clear();
+  ASSERT_TRUE(registry.erase("m"));
+  EXPECT_EQ(session->model().name(), "m");
+  EXPECT_EQ(session->run(row).predictions, before);
 }
 
 TEST(SessionCacheTest, ConcurrentAlgorithmCallsShareOneSessionSafely) {

@@ -16,6 +16,7 @@
 #include "data/synthetic.h"
 #include "hwsim/device.h"
 #include "hwsim/package.h"
+#include "nn/dense.h"
 #include "nn/train.h"
 #include "nn/zoo.h"
 #include "runtime/batcher.h"
@@ -281,14 +282,37 @@ TEST(PredictBatchTest, RejectsMismatchedSampleShape) {
   EXPECT_THROW(session.predict_batch({}), InvalidArgument);
 }
 
+/// A Dense layer that counts the shape queries made of it.  Planning a
+/// forward asks every layer for its output shape; serving a planned forward
+/// never does, so a count that holds still across requests means no caller
+/// built a plan of its own.
+class ShapeCountingDense : public nn::Dense {
+ public:
+  ShapeCountingDense(const nn::Dense& dense, std::atomic<int>& queries)
+      : nn::Dense(dense.weights(), dense.bias()), queries_(queries) {}
+  Shape output_shape(const Shape& input) const override {
+    ++queries_;
+    return nn::Dense::output_shape(input);
+  }
+
+ private:
+  std::atomic<int>& queries_;
+};
+
 TEST(PredictBatchTest, ConcurrentCallersMatchSerialWithoutAllocating) {
   // run_rows callers and a predict_batch caller hit one session at once.
-  // Each runs on an arena of its own from the session's pool, so every
-  // answer matches the serial reference and no caller allocates tensors.
+  // Each runs on a scratch of its own from the session's pool, so every
+  // answer matches the serial reference, no caller allocates tensors, and
+  // the pool grows without planning the model again.
   Rng rng(24);
-  runtime::InferenceSession session(
-      nn::zoo::make_mlp("shared", 16, 5, {64, 32}, rng),
-      hwsim::openei_package(), hwsim::raspberry_pi_4());
+  std::atomic<int> shape_queries{0};
+  nn::Model model = nn::zoo::make_mlp("shared", 16, 5, {64, 32}, rng);
+  model.replace_layer(0, std::make_unique<ShapeCountingDense>(
+                             dynamic_cast<const nn::Dense&>(model.layer(0)),
+                             shape_queries));
+  runtime::InferenceSession session(std::move(model), hwsim::openei_package(),
+                                    hwsim::raspberry_pi_4());
+  const int queries_at_construction = shape_queries.load();
   constexpr std::size_t kRowThreads = 4;
   constexpr std::size_t kRows = 3;
   constexpr int kRounds = 200;
@@ -344,6 +368,8 @@ TEST(PredictBatchTest, ConcurrentCallersMatchSerialWithoutAllocating) {
     EXPECT_EQ(mismatches[t], 0) << "thread " << t;
     EXPECT_EQ(allocations[t], 0U) << "thread " << t;
   }
+  EXPECT_EQ(shape_queries.load(), queries_at_construction)
+      << "a caller planned the model again";
 }
 
 TEST(MicroBatcherTest, FlushesOnTimeoutWithoutFillingBatch) {

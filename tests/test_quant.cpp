@@ -15,6 +15,7 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.h"
@@ -154,6 +155,64 @@ TEST(QuantParamsEdge, RejectsNonFiniteAndReversedRanges) {
   EXPECT_THROW(QuantParams::choose(0.0F, std::numeric_limits<float>::infinity()),
                InvalidArgument);
   EXPECT_THROW(QuantParams::choose(2.0F, 1.0F), InvalidArgument);
+}
+
+// The bulk quantizers equal quantize_one element by element at every ISA
+// level: exact half-step ties of both signs, signed zeros, values past the
+// +-512-step clamp, subnormals, and every length 1-67 (each masked tail).
+TEST(QuantizeBulk, MatchesQuantizeOneAtEveryIsaLevel) {
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  std::vector<float> pool = {0.0F, -0.0F, tiny, -tiny, 1e-40F, -1e-40F,
+                             std::numeric_limits<float>::min(), 1e30F, -1e30F};
+  for (int k = -140; k <= 140; ++k) {
+    pool.push_back((static_cast<float>(k) + 0.5F) * 0.25F);  // ties at 0.25
+    // Near-ties at 0.0123, one ulp either side too: a multiply by the
+    // reciprocal rounds about one in six of them to the other integer.
+    const float near = (static_cast<float>(k) + 0.5F) * 0.0123F;
+    pool.push_back(near);
+    pool.push_back(std::nextafter(near, 1e30F));
+    pool.push_back(std::nextafter(near, -1e30F));
+  }
+  for (float steps : {511.5F, 512.0F, 512.5F, 513.0F, 600.0F, 5000.0F}) {
+    pool.push_back(steps * 0.25F);
+    pool.push_back(-steps * 0.25F);
+  }
+  Rng rng(211);
+  for (int i = 0; i < 64; ++i) pool.push_back(rng.uniform_float(-40.0F, 40.0F));
+
+  std::vector<QuantParams> params(4);
+  params[0].scale = 0.25F;  // zero point 0: every tie above is exact
+  params[1].scale = 0.25F;
+  params[1].zero_point = -128;
+  params[2].scale = 0.25F;
+  params[2].zero_point = 127;
+  params[3].scale = 0.0123F;
+  params[3].zero_point = 37;
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 1; n <= 67; ++n) lengths.push_back(n);
+  lengths.push_back(pool.size());
+  for (int level = 0; level <= tensor::int8_isa_level(); ++level) {
+    ScopedIsaCap cap(level);
+    for (const QuantParams& p : params) {
+      for (std::size_t n : lengths) {
+        const std::size_t start = n * 31 % (pool.size() - n + 1);
+        const float* src = pool.data() + start;
+        std::vector<std::int8_t> q(n + 1, 99);  // the sentinel must survive
+        std::vector<std::uint8_t> b(n + 1, 99);
+        tensor::quantize_to_int8(src, n, p, q.data());
+        tensor::quantize_biased(src, n, p, b.data());
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::int8_t want = tensor::quantize_one(src[i], p);
+          ASSERT_EQ(q[i], want) << "level " << level << " n " << n << " v "
+                                << src[i] << " scale " << p.scale;
+          ASSERT_EQ(b[i], tensor::biased(want))
+              << "level " << level << " n " << n << " v " << src[i];
+        }
+        ASSERT_EQ(q[n], 99) << "level " << level << " n " << n;
+        ASSERT_EQ(b[n], 99) << "level " << level << " n " << n;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -882,12 +941,13 @@ TEST(QuantSerializeTest, LegacyPerTensorFormatStillLoads) {
 // ---------------------------------------------------------------------------
 
 void expect_arena_matches_model(nn::Model& model, const Tensor& batch) {
-  auto arena = runtime::ForwardArena::plan(model);
-  ASSERT_NE(arena, nullptr) << model.name();
+  auto plan = runtime::ForwardPlan::plan(model);
+  ASSERT_NE(plan, nullptr) << model.name();
+  runtime::ForwardPlan::Scratch scratch(*plan);
   Tensor expected = model.forward(batch, false);
   std::size_t rows = batch.shape().dim(0);
-  const float* actual = arena->run(batch.data().data(), rows);
-  ASSERT_EQ(expected.elements(), rows * arena->classes());
+  const float* actual = plan->run(batch.data().data(), rows, scratch);
+  ASSERT_EQ(expected.elements(), rows * plan->classes());
   for (std::size_t i = 0; i < expected.elements(); ++i) {
     ASSERT_EQ(actual[i], expected.data()[i]) << model.name() << " @" << i;
   }
@@ -895,7 +955,7 @@ void expect_arena_matches_model(nn::Model& model, const Tensor& batch) {
   // predict matches Model::predict exactly (first maximum wins).
   auto expected_pred = model.predict(batch);
   std::vector<std::size_t> actual_pred(rows);
-  arena->predict(batch.data().data(), rows, actual_pred.data());
+  plan->predict(batch.data().data(), rows, actual_pred.data(), scratch);
   EXPECT_EQ(actual_pred, expected_pred);
 }
 
@@ -1038,7 +1098,7 @@ TEST(ArenaTest, PlansEveryLayerTypeAndRefusesStructuredOutput) {
   spec.kernel = 3;
   nn::Model conv_only("conv_only", Shape{1, 8, 8});
   conv_only.add(std::make_unique<nn::Conv2d>(spec, rng));
-  EXPECT_EQ(runtime::ForwardArena::plan(conv_only), nullptr);
+  EXPECT_EQ(runtime::ForwardPlan::plan(conv_only), nullptr);
   EXPECT_THROW(runtime::InferenceSession(std::move(conv_only),
                                          hwsim::openei_package(),
                                          hwsim::raspberry_pi_4()),
@@ -1155,14 +1215,15 @@ TEST(ArenaTest, Int8TwinsBitwiseEqualAcrossRowsThreadsAndIsaLevels) {
 TEST(ArenaTest, ProfileLabelsEveryStepAndLeavesRunLogits) {
   Rng rng(113);
   nn::Model vgg = nn::zoo::make_mini_vgg({3, 16, 4}, rng);
-  auto arena = runtime::ForwardArena::plan(vgg);
-  ASSERT_NE(arena, nullptr);
+  auto plan = runtime::ForwardPlan::plan(vgg);
+  ASSERT_NE(plan, nullptr);
+  runtime::ForwardPlan::Scratch scratch(*plan);
   Tensor images = Tensor::random_uniform(Shape{2, 3, 16, 16}, rng, -1.0F, 1.0F);
-  const float* logits = arena->run(images.data().data(), 2);
-  std::vector<float> expected(logits, logits + 2 * arena->classes());
+  const float* logits = plan->run(images.data().data(), 2, scratch);
+  std::vector<float> expected(logits, logits + 2 * plan->classes());
 
   std::vector<std::string> labels;
-  for (const auto& step : arena->profile(images.data().data(), 2, 5)) {
+  for (const auto& step : plan->profile(images.data().data(), 2, 5, scratch)) {
     labels.push_back(step.label);
     EXPECT_GE(step.median_us, 0.0) << step.label;
   }
@@ -1182,6 +1243,54 @@ TEST(ArenaTest, ProfileLabelsEveryStepAndLeavesRunLogits) {
   EXPECT_EQ(labels, planned);
   for (std::size_t i = 0; i < expected.size(); ++i) {
     ASSERT_EQ(logits[i], expected[i]) << "@" << i;
+  }
+}
+
+// One plan, four concurrent callers each on a Scratch of its own: every
+// caller's logits equal the serial pass bit for bit, for mini-VGG fp32 and
+// its calibrated int8 twin at rows 1 and 3.
+TEST(ArenaTest, ConcurrentScratchesOnOnePlanMatchSerialBitwise) {
+  Rng rng(151);
+  nn::Model vgg = nn::zoo::make_mini_vgg({3, 16, 4}, rng);
+  Tensor calibration =
+      Tensor::random_uniform(Shape{8, 3, 16, 16}, rng, -1.0F, 1.0F);
+  nn::Model qvgg = std::move(compress::quantize_int8(vgg, calibration).model);
+  constexpr std::size_t kThreads = 4;
+  constexpr int kRounds = 20;
+  for (const nn::Model* model : {&vgg, &qvgg}) {
+    auto plan = runtime::ForwardPlan::plan(*model);
+    ASSERT_NE(plan, nullptr) << model->name();
+    for (std::size_t rows : {1U, 3U}) {
+      std::vector<Tensor> inputs;
+      std::vector<std::vector<float>> expected;
+      runtime::ForwardPlan::Scratch serial(*plan);
+      for (std::size_t t = 0; t < kThreads; ++t) {
+        inputs.push_back(
+            Tensor::random_uniform(Shape{rows, 3, 16, 16}, rng, -1.0F, 1.0F));
+        const float* logits = plan->run(inputs[t].data().data(), rows, serial);
+        expected.emplace_back(logits, logits + rows * plan->classes());
+      }
+      std::vector<int> mismatches(kThreads, 0);
+      std::vector<std::thread> threads;
+      for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+          runtime::ForwardPlan::Scratch scratch(*plan);
+          for (int round = 0; round < kRounds; ++round) {
+            const float* logits =
+                plan->run(inputs[t].data().data(), rows, scratch);
+            if (std::memcmp(logits, expected[t].data(),
+                            expected[t].size() * sizeof(float)) != 0) {
+              ++mismatches[t];
+            }
+          }
+        });
+      }
+      for (std::thread& thread : threads) thread.join();
+      for (std::size_t t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(mismatches[t], 0)
+            << model->name() << " rows " << rows << " thread " << t;
+      }
+    }
   }
 }
 
